@@ -377,28 +377,13 @@ int PAPIrepro_wire_encode(unsigned int rank, long long frame_cycles,
                           int num_entries, const long long* values,
                           int num_values, void* out, long long capacity);
 
-/* Counter-allocation memo instrumentation: the library caches bipartite
- * allocation solves keyed on the native-event list, so repeated EventSet
- * builds skip the matcher.  hits/misses/evictions are cumulative since
- * init (or the last invalidating substrate-mode change, counted in
- * invalidations); entries is the current resident count. */
-typedef struct PAPIrepro_alloc_cache_stats {
-  long long hits;
-  long long misses;
-  long long evictions;
-  long long invalidations;
-  long long entries;
-} PAPIrepro_alloc_cache_stats_t;
-/* Requires an initialized library; PAPI_EINVAL on NULL out. */
-int PAPIrepro_alloc_cache_stats(PAPIrepro_alloc_cache_stats_t* out);
-
 /* ---- asynchronous sampling pipeline ----
  * With async enabled, overflow/PAPI_profil dispatch is deferred: the
  * counting thread enqueues an O(1) sample into a per-run lock-free ring
  * and a library aggregator thread runs handlers / histogram updates.
- * A full ring drops the sample (counted below) rather than ever
- * blocking the counting thread.  Applies to event sets started after
- * the call. */
+ * A full ring drops the sample (counted in PAPIrepro_get_telemetry's
+ * samples_dropped) rather than ever blocking the counting thread.
+ * Applies to event sets started after the call. */
 /* async_enable: 0 = classic synchronous dispatch (default), nonzero =
  * ring + aggregator.  ring_capacity: records per ring, rounded up to a
  * power of two (0 keeps the current setting's default of 1024).
@@ -406,27 +391,12 @@ int PAPIrepro_alloc_cache_stats(PAPIrepro_alloc_cache_stats_t* out);
 int PAPIrepro_set_sampling(int async_enable,
                            unsigned long long ring_capacity);
 
-/* Cumulative pipeline counters since init, across all rings. */
-typedef struct PAPIrepro_sampling_stats {
-  long long enqueued;     /* samples accepted by rings */
-  long long dropped;      /* samples lost to full rings */
-  long long dispatched;   /* samples delivered to handlers/histograms */
-  long long sweeps;       /* aggregator drain passes */
-  long long flushes;      /* synchronous flush/detach drains */
-  long long rings_active; /* rings currently registered */
-  long long ring_capacity; /* capacity applied to new rings */
-  int async;              /* nonzero when async mode is on */
-} PAPIrepro_sampling_stats_t;
-/* Requires an initialized library; PAPI_EINVAL on NULL out. */
-int PAPIrepro_sampling_stats(PAPIrepro_sampling_stats_t* out);
-
 /* ---- self-telemetry (reproduction extension) ----
  * The library watches itself: every control-path call, retry,
  * degradation, mux rotation, allocation-memo outcome, sample, and
  * injected fault bumps a process-wide introspection counter.  One
- * consistent snapshot (below) backs this call, the legacy
- * PAPIrepro_alloc_cache_stats / PAPIrepro_sampling_stats entry points,
- * and the PAPIREPRO_TELEMETRY=stderr|<path> at-shutdown summary. */
+ * consistent snapshot (below) backs this call and the
+ * PAPIREPRO_TELEMETRY=stderr|<path> at-shutdown summary. */
 typedef struct PAPIrepro_telemetry {
   /* counters, cumulative since init */
   long long starts;             /* successful PAPI_start calls */
@@ -459,7 +429,12 @@ typedef struct PAPIrepro_telemetry {
   /* gauges at snapshot time */
   long long threads_seen;       /* threads that ever touched telemetry */
   long long trace_records_buffered;
-  long long alloc_cache_entries;
+  long long alloc_cache_entries; /* allocation memo resident entries */
+  long long sampling_sweeps;    /* aggregator drain passes */
+  long long sampling_flushes;   /* synchronous flush/detach drains */
+  long long sampling_rings_active; /* sample rings currently registered */
+  long long sampling_ring_capacity; /* capacity applied to new rings */
+  int sampling_async;           /* nonzero when async sampling is on */
   int enabled;                  /* master telemetry switch */
   int trace_enabled;            /* trace rings recording */
   /* per-component control-path counters, indexed by component id */

@@ -283,24 +283,6 @@ int PAPIrepro_set_retry(int max_attempts,
       {max_attempts, static_cast<std::uint64_t>(backoff_usec)}));
 }
 
-int PAPIrepro_alloc_cache_stats(PAPIrepro_alloc_cache_stats_t* out) {
-  // Compat wrapper: the allocation-memo counters now live in the
-  // library-wide telemetry registry; this entry point reads the same
-  // snapshot PAPIrepro_get_telemetry does.
-  if (out == nullptr) return PAPI_EINVAL;
-  if (g().library == nullptr) return PAPI_ENOINIT;
-  const papi::TelemetrySnapshot snap = g().library->telemetry_snapshot();
-  using TC = papi::TelemetryCounter;
-  out->hits = static_cast<long long>(snap.value(TC::kAllocCacheHits));
-  out->misses = static_cast<long long>(snap.value(TC::kAllocCacheMisses));
-  out->evictions =
-      static_cast<long long>(snap.value(TC::kAllocCacheEvictions));
-  out->invalidations =
-      static_cast<long long>(snap.value(TC::kAllocCacheInvalidations));
-  out->entries = static_cast<long long>(snap.alloc_cache_entries);
-  return PAPI_OK;
-}
-
 int PAPIrepro_set_sampling(int async_enable,
                            unsigned long long ring_capacity) {
   if (g().library == nullptr) return PAPI_ENOINIT;
@@ -310,28 +292,6 @@ int PAPIrepro_set_sampling(int async_enable,
     config.ring_capacity = static_cast<std::size_t>(ring_capacity);
   }
   return to_code(g().library->configure_sampling(config));
-}
-
-int PAPIrepro_sampling_stats(PAPIrepro_sampling_stats_t* out) {
-  // Compat wrapper over the telemetry snapshot: pipeline counters come
-  // from the registry, the ring/aggregator gauges ride along in the
-  // same snapshot, so this and PAPIrepro_get_telemetry can never
-  // disagree mid-run.
-  if (out == nullptr) return PAPI_EINVAL;
-  if (g().library == nullptr) return PAPI_ENOINIT;
-  const papi::TelemetrySnapshot snap = g().library->telemetry_snapshot();
-  using TC = papi::TelemetryCounter;
-  out->enqueued = static_cast<long long>(snap.value(TC::kSamplesEnqueued));
-  out->dropped = static_cast<long long>(snap.value(TC::kSamplesDropped));
-  out->dispatched =
-      static_cast<long long>(snap.value(TC::kSamplesDispatched));
-  out->sweeps = static_cast<long long>(snap.sampling_sweeps);
-  out->flushes = static_cast<long long>(snap.sampling_flushes);
-  out->rings_active = static_cast<long long>(snap.sampling_rings_active);
-  out->ring_capacity =
-      static_cast<long long>(snap.sampling_ring_capacity);
-  out->async = snap.sampling_async ? 1 : 0;
-  return PAPI_OK;
 }
 
 int PAPIrepro_get_telemetry(PAPIrepro_telemetry_t* out) {
@@ -375,6 +335,13 @@ int PAPIrepro_get_telemetry(PAPIrepro_telemetry_t* out) {
       static_cast<long long>(snap.trace_records_buffered);
   out->alloc_cache_entries =
       static_cast<long long>(snap.alloc_cache_entries);
+  out->sampling_sweeps = static_cast<long long>(snap.sampling_sweeps);
+  out->sampling_flushes = static_cast<long long>(snap.sampling_flushes);
+  out->sampling_rings_active =
+      static_cast<long long>(snap.sampling_rings_active);
+  out->sampling_ring_capacity =
+      static_cast<long long>(snap.sampling_ring_capacity);
+  out->sampling_async = snap.sampling_async ? 1 : 0;
   out->enabled = snap.enabled ? 1 : 0;
   out->trace_enabled = snap.trace_enabled ? 1 : 0;
   out->num_components = static_cast<int>(snap.num_components);

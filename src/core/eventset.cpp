@@ -386,7 +386,7 @@ Status EventSet::arm_overflow(std::size_t config_index) {
     // The callback co-owns the ring — a late delivery after this run's
     // ring is replaced pushes into a detached (but live) ring and is
     // simply never drained.
-    std::shared_ptr<SampleRing> ring = sample_ring_;
+    std::shared_ptr<SpscRing<SampleRecord>> ring = sample_ring_;
     const auto idx = static_cast<std::uint32_t>(config_index);
     // The registry outlives every armed callback (it is the Library's
     // first member); counter bumps are safe from the delivery context,
@@ -425,11 +425,15 @@ Status EventSet::arm_overflow(std::size_t config_index) {
   return armed;
 }
 
-void EventSet::disarm_overflows() {
+void EventSet::disarm() {
   for (const std::uint32_t event_index : armed_event_indices_) {
     (void)context_->clear_overflow(event_index);
   }
   armed_event_indices_.clear();
+  if (mux_timer_id_ >= 0) {
+    (void)context_->cancel_timer(mux_timer_id_);
+    mux_timer_id_ = -1;
+  }
   if (ring_attached_) {
     // Synchronous drain: every sample enqueued before this point is
     // dispatched before detach() returns, so a stopped set's histogram
@@ -443,14 +447,13 @@ void EventSet::disarm_overflows() {
 void EventSet::preallocate_scratch() {
   // Size every buffer the running paths touch, so read()/accum()/stop()
   // and the mux slice rotation reuse capacity instead of allocating.
-  scratch_raw_.assign(natives_.size(), 0);
+  raw_.assign(natives_.size(), 0);
   scratch_values_.assign(entries_.size(), 0);
   std::size_t max_group = 0;
   for (const MuxGroupPlan& plan : mux_plans_) {
     max_group = std::max(max_group, plan.members.size());
   }
   scratch_live_.assign(multiplex_ ? max_group : 0, 0);
-  stopped_raw_.reserve(natives_.size());  // stop() snapshots into this
   // Per-native fold/latch/flag state: last good values start at the
   // post-reset zero point, fidelity flags start clean.
   folds_.assign(natives_.size(), NativeFold{});
@@ -487,18 +490,14 @@ Status EventSet::start() {
   async_active_ = sampling_config.async && !multiplex_ &&
                   !overflow_configs_.empty();
   if (async_active_) {
-    sample_ring_ = std::make_shared<SampleRing>(
+    sample_ring_ = std::make_shared<SpscRing<SampleRecord>>(
         sampling_config.ring_capacity);
   }
 
   auto abort_start = [this](Status status) {
     // A partially-armed run must not leave stale callbacks on the
     // context it is about to hand back.
-    for (const std::uint32_t event_index : armed_event_indices_) {
-      (void)context_->clear_overflow(event_index);
-    }
-    armed_event_indices_.clear();
-    async_active_ = false;
+    disarm();
     library_.release_context(this);
     context_ = nullptr;
     for (ComponentSlice& s : slices_) s.context = nullptr;
@@ -519,11 +518,6 @@ Status EventSet::start() {
       PAPIREPRO_RETURN_IF_ERROR(library_.health_admit(slice.component));
     }
     PAPIREPRO_RETURN_IF_ERROR(program_and_arm());
-    if (multiplex_) {
-      attributed_component_ = 0;
-      PAPIREPRO_RETURN_IF_ERROR(context_->reset_counts());
-      return context_->start();
-    }
     for (ComponentSlice& slice : slices_) {
       attributed_component_ = slice.component;
       PAPIREPRO_RETURN_IF_ERROR(slice.context->reset_counts());
@@ -654,30 +648,32 @@ void EventSet::rotate_mux() {
   }
 }
 
-inline Status EventSet::read_slice(ComponentSlice& slice,
-                            std::vector<std::uint64_t>& raw_out) {
-  std::span<std::uint64_t> window(raw_out.data() + slice.offset,
-                                  slice.count);
+Status EventSet::serve_latched(const ComponentSlice& slice,
+                               Status status) {
+  // Partial-failure semantics: serve the last latched good values and
+  // flag them.  read_ex() keeps going; read() propagates the error.
+  const std::uint8_t fail_flags = static_cast<std::uint8_t>(
+      read_flag::kStale | (status.error() == Error::kComponentQuarantined
+                               ? read_flag::kQuarantined
+                               : 0));
+  for (std::size_t i = slice.offset; i < slice.offset + slice.count; ++i) {
+    raw_[i] = folds_[i].latched;
+    folds_[i].read_flags = folds_[i].sticky_flags | fail_flags;
+  }
+  return status;
+}
+
+inline Status EventSet::read_slice(ComponentSlice& slice) {
+  if (multiplex_) [[unlikely]] return read_mux(slice);
+  std::span<std::uint64_t> window(raw_.data() + slice.offset, slice.count);
   // Health breaker + retry wrapper around the substrate read; the
   // lambda captures by reference, so the hot path stays allocation-free,
   // and the component entry was resolved at rebuild() so the bracket is
   // two relaxed loads on one already-hot line.
   const Status status = library_.run_slice_op(
       *slice.comp, [&] { return slice.context->read(window); });
+  if (!status.ok()) [[unlikely]] return serve_latched(slice, status);
   NativeFold* folds = folds_.data() + slice.offset;
-  if (!status.ok()) {
-    // Partial-failure semantics: serve the last latched good values and
-    // flag them.  read_ex() keeps going; read() propagates the error.
-    const std::uint8_t fail_flags = static_cast<std::uint8_t>(
-        read_flag::kStale | (status.error() == Error::kComponentQuarantined
-                                 ? read_flag::kQuarantined
-                                 : 0));
-    for (std::size_t i = 0; i < slice.count; ++i) {
-      window[i] = folds[i].latched;
-      folds[i].read_flags = folds[i].sticky_flags | fail_flags;
-    }
-    return status;
-  }
   if (slice.wrap_mask == ~0ULL) {
     // Full-width counters count up monotonically from the start()/
     // reset() zero point; a regression is an impossible delta — flag
@@ -715,57 +711,45 @@ inline Status EventSet::read_slice(ComponentSlice& slice,
   return Error::kOk;
 }
 
-Status EventSet::read_folded(std::vector<std::uint64_t>& raw_out) {
-  // Fan out across the component slices in ascending component order —
-  // the coherent snapshot order every reader (read/accum/stop) shares.
-  // All-or-nothing: the first failing slice fails the read (read_ex()
-  // is the partial-failure path).
-  for (ComponentSlice& slice : slices_) {
-    PAPIREPRO_RETURN_IF_ERROR(read_slice(slice, raw_out));
+Status EventSet::read_mux(ComponentSlice& slice) {
+  if ((degradations_ & degradation::kMuxSequential) != 0) {
+    rotate_mux();  // sequential-slice fallback: reads drive rotation
   }
-  return Error::kOk;
-}
-
-Status EventSet::snapshot_raw(std::vector<std::uint64_t>& raw_out) {
-  raw_out.assign(natives_.size(), 0);
-
-  if (!multiplex_) {
-    return read_folded(raw_out);
-  }
-
+  // The clock is taken before the read, so the read's own cost is
+  // billed to neither the window nor the open group.
   const std::uint64_t now = context_->cycles();
-  if (running()) {
-    scratch_live_.assign(mux_plans_[mux_current_].members.size(), 0);
-    PAPIREPRO_RETURN_IF_ERROR(library_.run_with_retries(
-        [&] { return context_->read(scratch_live_); }));
-  }
+  const std::span<std::uint64_t> live(scratch_live_.data(),
+                                      mux_plans_[mux_current_].members.size());
+  const Status status = library_.run_slice_op(
+      *slice.comp, [&] { return slice.context->read(live); });
+  if (!status.ok()) return serve_latched(slice, status);
   const std::uint64_t window =
       now > mux_window_start_ ? now - mux_window_start_ : 0;
-
   for (std::size_t g = 0; g < mux_plans_.size(); ++g) {
     const MuxGroupPlan& plan = mux_plans_[g];
     const MuxGroupState& st = mux_state_[g];
+    const bool open = g == mux_current_;
     std::uint64_t active = st.active_cycles;
+    if (open && now > mux_slice_start_) active += now - mux_slice_start_;
     for (std::size_t i = 0; i < plan.members.size(); ++i) {
-      std::uint64_t raw = st.accum[i];
-      if (running() && g == mux_current_) {
-        raw += scratch_live_[i];  // current slice is still open
-      }
-      std::uint64_t active_g = active;
-      if (running() && g == mux_current_ && now > mux_slice_start_) {
-        active_g += now - mux_slice_start_;
-      }
+      const std::uint64_t raw = st.accum[i] + (open ? live[i] : 0);
       // Scale the observed counts up by the fraction of the window this
       // group was actually live — the estimation step whose convergence
       // Section 2 warns about.
       double scaled = static_cast<double>(raw);
-      if (active_g > 0 && window > 0) {
-        scaled *= static_cast<double>(window) /
-                  static_cast<double>(active_g);
+      if (active > 0 && window > 0) {
+        scaled *= static_cast<double>(window) / static_cast<double>(active);
       }
-      raw_out[plan.members[i]] =
+      raw_[slice.offset + plan.members[i]] =
           static_cast<std::uint64_t>(std::llround(scaled));
     }
+  }
+  // Estimates are 64-bit totals already, and they may dip between reads
+  // as slices rotate: latch them, with nothing to fold and no monotonic
+  // verdict to pass.
+  for (std::size_t i = slice.offset; i < slice.offset + slice.count; ++i) {
+    folds_[i].latched = raw_[i];
+    folds_[i].read_flags = folds_[i].sticky_flags;
   }
   return Error::kOk;
 }
@@ -819,68 +803,124 @@ std::uint32_t EventSet::folded_read_flags() const noexcept {
 
 inline void EventSet::publish_values(std::span<const long long> values,
                               std::uint32_t pub_state) noexcept {
-  // Seqlock write (single writer: the owning thread).  The release
-  // fence orders the odd seq store before the data stores; the final
-  // release store orders the data before the even seq — a reader that
-  // sees the same even seq on both sides of its copy got a consistent
-  // snapshot.  All data fields are atomics, so a torn interleaving is
-  // discarded by the seq check, never undefined behaviour.
   // Stamp the publication age before opening the bracket: the stamp is
   // the liveness signal collectors key on (a publication whose stamp
   // stops advancing belongs to a stalled or dead rank).  The running
-  // context's clock is authoritative while live; stop() publishes after
-  // releasing, so fall back to the library's timer substrate.
+  // context's clock is authoritative while live; a stopped set has
+  // released it, so fall back to the library's timer substrate.
   const std::uint64_t now = context_ != nullptr
                                 ? context_->cycles()
                                 : library_.real_cycles();
   Published& p = published_;
-  const std::uint32_t s = pub_seq_shadow_;
-  pub_seq_shadow_ = s + 2;
-  p.seq.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   const std::size_t n = std::min(calc_.size(), kMaxPublishedValues);
-  p.state.store(pub_state, std::memory_order_relaxed);
-  p.pub_cycles.store(now, std::memory_order_relaxed);
-  p.num_events.store(static_cast<std::uint32_t>(calc_.size()),
-                     std::memory_order_relaxed);
-  p.stored.store(static_cast<std::uint32_t>(n), std::memory_order_relaxed);
   const NativeFold* folds = folds_.data();
-  if (terms_identity_ && values.size() >= n) [[likely]] {
-    // One fused pass, flags straight from the per-native fold records —
-    // the steady-state read's publication cost is this loop plus the
-    // seq bracket.
+  // Every read publishes: the cell lambda is force-inlined like the
+  // bracket, or GCC leaves it behind a call.
+  p.lock.write([&]() __attribute__((always_inline)) {
+    p.state.store(pub_state, std::memory_order_relaxed);
+    p.pub_cycles.store(now, std::memory_order_relaxed);
+    p.num_events.store(static_cast<std::uint32_t>(calc_.size()),
+                       std::memory_order_relaxed);
+    p.stored.store(static_cast<std::uint32_t>(n), std::memory_order_relaxed);
+    if (terms_identity_ && values.size() >= n) [[likely]] {
+      // One fused pass, flags straight from the per-native fold records
+      // — the steady-state read's publication cost is this loop plus
+      // the seq bracket.
+      for (std::size_t i = 0; i < n; ++i) {
+        p.values[i].store(values[i], std::memory_order_relaxed);
+        p.flags[i].store(folds[i].read_flags, std::memory_order_relaxed);
+      }
+      return;
+    }
+    const FlatTerm* terms = flat_terms_.data();
     for (std::size_t i = 0; i < n; ++i) {
-      p.values[i].store(values[i], std::memory_order_relaxed);
-      p.flags[i].store(folds[i].read_flags, std::memory_order_relaxed);
+      p.values[i].store(i < values.size() ? values[i] : 0,
+                        std::memory_order_relaxed);
+      const EntryCalc c = calc_[i];
+      std::uint8_t f = 0;
+      for (std::uint32_t t = 0; t < c.count; ++t) {
+        f |= folds[terms[c.begin + t].native_index].read_flags;
+      }
+      p.flags[i].store(f, std::memory_order_relaxed);
     }
-    p.seq.store(s + 2, std::memory_order_release);
-    return;
-  }
-  const FlatTerm* terms = flat_terms_.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    p.values[i].store(i < values.size() ? values[i] : 0,
-                      std::memory_order_relaxed);
-    const EntryCalc c = calc_[i];
-    std::uint8_t f = 0;
-    for (std::uint32_t t = 0; t < c.count; ++t) {
-      f |= folds[terms[c.begin + t].native_index].read_flags;
-    }
-    p.flags[i].store(f, std::memory_order_relaxed);
-  }
-  p.seq.store(s + 2, std::memory_order_release);
+  });
 }
 
 void EventSet::publish_clear() noexcept {
   Published& p = published_;
-  const std::uint32_t s = pub_seq_shadow_;
-  pub_seq_shadow_ = s + 2;
-  p.seq.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  p.state.store(kPubNeverRan, std::memory_order_relaxed);
-  p.pub_cycles.store(0, std::memory_order_relaxed);
-  p.num_events.store(0, std::memory_order_relaxed);
-  p.stored.store(0, std::memory_order_relaxed);
-  p.seq.store(s + 2, std::memory_order_release);
+  p.lock.write([&p] {
+    p.state.store(kPubNeverRan, std::memory_order_relaxed);
+    p.pub_cycles.store(0, std::memory_order_relaxed);
+    p.num_events.store(0, std::memory_order_relaxed);
+    p.stored.store(0, std::memory_order_relaxed);
+  });
+}
+
+inline Status EventSet::read_pass(std::span<long long> out,
+                                  std::span<std::uint32_t> flags,
+                                  Pass pass) {
+  TelemetryRegistry& telemetry = library_.telemetry();
+  if (context_ == nullptr) {
+    if (!stopped_raw_valid_) return Error::kNotRunning;
+    // stop() persisted the snapshot's fidelity as the sticky flags, and
+    // nothing has read the slices since: read_flags still equal them.
+    telemetry.bump(TelemetryCounter::kReads);
+    compute_values(raw_, out);
+    if (!flags.empty()) compute_flags(flags);
+    return Error::kOk;
+  }
+  const bool traced = pass != Pass::kFinal && telemetry.tracing();
+  const std::uint64_t ts = traced ? context_->cycles() : 0;
+  // Fan out across the component slices in ascending component order —
+  // the coherent snapshot order every reader shares.  Slices partition
+  // natives_ and read_slice overwrites its whole window, so raw_ needs
+  // no zero-fill first.
+  const bool all_or_nothing = pass == Pass::kRead || pass == Pass::kAccum;
+  Status status = Error::kOk;
+  std::size_t attempted = slices_.size();
+  std::uint32_t failed = 0;  // bit i: slice i failed
+  for (std::size_t i = 0; i < slices_.size(); ++i) {
+    const Status s = read_slice(slices_[i]);
+    if (s.ok()) [[likely]] continue;
+    failed |= 1u << i;
+    if (status.ok()) status = s;
+    if (all_or_nothing) {
+      attempted = i + 1;
+      break;
+    }
+  }
+  if (pass != Pass::kFinal) {
+    // One kReads per call, one component kReads per slice read; the
+    // first slice's pair lands in one fused bump.
+    if ((failed & 1u) == 0) {
+      telemetry.bump_read(slices_.front().component);
+    } else {
+      telemetry.bump(TelemetryCounter::kReads);
+    }
+    for (std::size_t i = 1; i < attempted; ++i) {
+      if (((failed >> i) & 1u) == 0) {
+        telemetry.bump_component(slices_[i].component,
+                                 ComponentCounter::kReads);
+      }
+    }
+  }
+  if (all_or_nothing && !status.ok()) return status;
+  compute_values(raw_, out);
+  if (!flags.empty()) compute_flags(flags);
+  if (pass == Pass::kRead || pass == Pass::kPartial) {
+    publish_values(out, kPubRunning);
+  }
+  if (traced) {
+    const std::uint64_t after = context_->cycles();
+    telemetry.trace(TraceEventKind::kRead, ts, after > ts ? after - ts : 0,
+                    static_cast<std::uint64_t>(handle_));
+  }
+  return pass == Pass::kPartial ? Status() : status;
+}
+
+Status EventSet::read(std::span<long long> out) {
+  if (out.size() < entries_.size()) return Error::kInvalid;
+  return read_pass(out, {}, Pass::kRead);
 }
 
 Status EventSet::read_ex(std::span<long long> out,
@@ -888,126 +928,17 @@ Status EventSet::read_ex(std::span<long long> out,
   if (out.size() < entries_.size() || flags.size() < entries_.size()) {
     return Error::kInvalid;
   }
-  if (!running() && !stopped_raw_valid_) return Error::kNotRunning;
-  TelemetryRegistry& telemetry = library_.telemetry();
-  telemetry.bump(TelemetryCounter::kReads);
-  if (!running() && stopped_raw_valid_) {
-    compute_values(stopped_raw_, out);
-    // The stop() snapshot's fidelity was persisted into the sticky
-    // flags; surface those.
-    for (NativeFold& f : folds_) f.read_flags = f.sticky_flags;
-    compute_flags(flags);
-    return Error::kOk;
-  }
-  if (multiplex_) {
-    // Estimation is single-component (CPU) — no partial-failure story;
-    // plain read semantics with pass-through flags.
-    if ((degradations_ & degradation::kMuxSequential) != 0) rotate_mux();
-    PAPIREPRO_RETURN_IF_ERROR(snapshot_raw(scratch_raw_));
-    telemetry.bump_component(0, ComponentCounter::kReads);
-    compute_values(scratch_raw_, out);
-    for (NativeFold& f : folds_) f.read_flags = f.sticky_flags;
-    compute_flags(flags);
-    publish_values(out, kPubRunning);
-    return Error::kOk;
-  }
-  // The partial-failure fan-out: every slice is attempted; a failing
-  // slice serves latched values (read_slice fills flags + window), and
-  // the read as a whole still succeeds.  read_slice overwrites every
-  // native in its window, so no zero-fill is needed first.
-  for (ComponentSlice& slice : slices_) {
-    const Status s = read_slice(slice, scratch_raw_);
-    if (s.ok()) {
-      telemetry.bump_component(slice.component, ComponentCounter::kReads);
-    }
-  }
-  compute_values(scratch_raw_, out);
-  compute_flags(flags);
-  publish_values(out, kPubRunning);
-  return Error::kOk;
-}
-
-Status EventSet::read(std::span<long long> out) {
-  if (out.size() < entries_.size()) return Error::kInvalid;
-  TelemetryRegistry& telemetry = library_.telemetry();
-  if (!running()) {
-    if (!stopped_raw_valid_) return Error::kNotRunning;
-    telemetry.bump(TelemetryCounter::kReads);
-    compute_values(stopped_raw_, out);
-    return Error::kOk;
-  }
-  if (multiplex_ || telemetry.tracing()) [[unlikely]] {
-    telemetry.bump(TelemetryCounter::kReads);
-    if (multiplex_ && (degradations_ & degradation::kMuxSequential) != 0) {
-      rotate_mux();  // sequential-slice fallback: reads drive rotation
-    }
-    const bool tracing = telemetry.tracing();
-    const std::uint64_t ts = tracing ? context_->cycles() : 0;
-    PAPIREPRO_RETURN_IF_ERROR(snapshot_raw(scratch_raw_));
-    for (const ComponentSlice& slice : slices_) {
-      telemetry.bump_component(slice.component, ComponentCounter::kReads);
-    }
-    compute_values(scratch_raw_, out);
-    publish_values(out, kPubRunning);
-    if (tracing) {
-      const std::uint64_t after = context_->cycles();
-      telemetry.trace(TraceEventKind::kRead, ts,
-                      after > ts ? after - ts : 0,
-                      static_cast<std::uint64_t>(handle_));
-    }
-    return Error::kOk;
-  }
-  // Non-mux, non-tracing steady state — the sub-10 ns target path.
-  // read_slice overwrites every native in its window (slices partition
-  // natives_), so the old pre-read zero-fill is skipped, and telemetry
-  // folds into one fused bump after success instead of separate
-  // library-wide and per-component touches.
-  for (ComponentSlice& slice : slices_) {
-    const Status s = read_slice(slice, scratch_raw_);
-    if (!s.ok()) {
-      telemetry.bump(TelemetryCounter::kReads);  // attempts still count
-      return s;
-    }
-  }
-  compute_values(scratch_raw_, out);
-  publish_values(out, kPubRunning);
-  telemetry.bump_read(slices_.front().component);
-  for (std::size_t i = 1; i < slices_.size(); ++i) {
-    telemetry.bump_component(slices_[i].component, ComponentCounter::kReads);
-  }
-  return Error::kOk;
-}
-
-Status EventSet::read_many(std::span<EventSet* const> sets,
-                           std::span<long long> values,
-                           std::span<SnapshotEntry> entries,
-                           std::size_t* values_used) {
-  if (values_used != nullptr) *values_used = 0;
-  if (sets.empty()) return Error::kOk;
-  if (entries.size() < sets.size()) return Error::kInvalid;
-  Library* library = nullptr;
-  for (EventSet* set : sets) {
-    if (set == nullptr) return Error::kInvalid;
-    if (library == nullptr) {
-      library = &set->library_;
-    } else if (&set->library_ != library) {
-      return Error::kInvalid;  // one batch, one library
-    }
-  }
-  return library->read_many(sets, values, entries, values_used);
+  return read_pass(out, flags, Pass::kPartial);
 }
 
 Status EventSet::accum(std::span<long long> inout) {
   if (inout.size() < entries_.size()) return Error::kInvalid;
-  // Note: the inner read() below also counts one kReads — accums are a
-  // subset marker, not disjoint from reads.
   library_.telemetry().bump(TelemetryCounter::kAccums);
-  scratch_values_.assign(entries_.size(), 0);
-  PAPIREPRO_RETURN_IF_ERROR(read(scratch_values_));
+  PAPIREPRO_RETURN_IF_ERROR(read_pass(scratch_values_, {}, Pass::kAccum));
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     inout[i] += scratch_values_[i];
   }
-  return reset();
+  return reset();  // publishes the zeroed counters: accum's one publication
 }
 
 Status EventSet::reset() {
@@ -1015,12 +946,8 @@ Status EventSet::reset() {
   // When stopped there is no context and nothing live to reset: just
   // drop the snapshot so read() reports kNotRunning again.
   if (running()) {
-    if (multiplex_) {
-      PAPIREPRO_RETURN_IF_ERROR(context_->reset_counts());
-    } else {
-      for (ComponentSlice& slice : slices_) {
-        PAPIREPRO_RETURN_IF_ERROR(slice.context->reset_counts());
-      }
+    for (ComponentSlice& slice : slices_) {
+      PAPIREPRO_RETURN_IF_ERROR(slice.context->reset_counts());
     }
   }
   for (NativeFold& f : folds_) f = NativeFold{};
@@ -1045,66 +972,35 @@ Status EventSet::reset() {
 Status EventSet::stop(std::span<long long> out) {
   if (!running()) return Error::kNotRunning;
 
-  // First per-slice failure, reported after the teardown completes: a
-  // sick component must not abort the unwind mid-way (the other slices'
-  // counters would keep running and the context would never release).
+  // Stop descending by component — the mirror image of start()'s
+  // ascending order, so the snapshot window nests coherently.  Every
+  // slice is attempted (through its breaker): a quarantined or failing
+  // component records the first error but cannot leave the healthy
+  // slices counting, and must not abort the unwind mid-way (the context
+  // would never release).
   Status partial = Error::kOk;
-
-  if (multiplex_) {
-    // Close the final slice before the counters go away.  As in
-    // rotate_mux(), the clock is snapshotted before the stop/read
-    // overhead so it is not billed to the closing slice.
-    const std::uint64_t now = context_->cycles();
-    (void)context_->stop();
-    scratch_live_.assign(mux_plans_[mux_current_].members.size(), 0);
-    PAPIREPRO_RETURN_IF_ERROR(library_.run_with_retries(
-        [&] { return context_->read(scratch_live_); }));
-    MuxGroupState& st = mux_state_[mux_current_];
-    for (std::size_t i = 0; i < scratch_live_.size(); ++i) {
-      st.accum[i] += scratch_live_[i];
-    }
-    st.active_cycles += now - mux_slice_start_;
-    if (mux_timer_id_ >= 0) {
-      (void)context_->cancel_timer(mux_timer_id_);
-      mux_timer_id_ = -1;
-    }
-    state_ = State::kStopped;
-  } else {
-    // Stop descending by component — the mirror image of start()'s
-    // ascending order, so the snapshot window nests coherently.  Every
-    // slice is attempted (through its breaker): a quarantined or
-    // failing component records the first error but cannot leave the
-    // healthy slices counting.
-    for (std::size_t i = slices_.size(); i-- > 0;) {
-      ComponentSlice& slice = slices_[i];
-      const Status s = library_.run_slice_op(
-          slice.component, [&] { return slice.context->stop(); });
-      if (!s.ok() && partial.ok()) partial = s;
-    }
-    state_ = State::kStopped;
+  for (std::size_t i = slices_.size(); i-- > 0;) {
+    ComponentSlice& slice = slices_[i];
+    const Status s = library_.run_slice_op(
+        *slice.comp, [&] { return slice.context->stop(); });
+    if (!s.ok() && partial.ok()) partial = s;
   }
-  // Snapshot straight into the preallocated stop buffer: stop() is part
-  // of the steady-state path and performs no heap allocation.
-  if (multiplex_) {
-    PAPIREPRO_RETURN_IF_ERROR(snapshot_raw(stopped_raw_));
-  } else {
-    // Resilient final snapshot: a failing slice latches its last good
-    // values instead of losing the healthy slices' finals; the
-    // snapshot's fidelity bits persist so read_ex() after stop()
-    // reports it.
-    stopped_raw_.assign(natives_.size(), 0);
-    for (ComponentSlice& slice : slices_) {
-      const Status s = read_slice(slice, stopped_raw_);
-      if (!s.ok() && partial.ok()) partial = s;
-    }
-    for (NativeFold& f : folds_) f.sticky_flags = f.read_flags;
-  }
+  state_ = State::kStopped;
+  // Resilient final snapshot of the halted counters into raw_, which
+  // reads of the stopped set then serve: a failing slice latches its
+  // last good values instead of losing the healthy slices' finals, and
+  // the snapshot's fidelity bits persist so read_ex() after stop()
+  // reports it.
+  const Status final_read = read_pass(scratch_values_, {}, Pass::kFinal);
+  if (!final_read.ok() && partial.ok()) partial = final_read;
+  for (NativeFold& f : folds_) f.sticky_flags = f.read_flags;
+  stopped_raw_valid_ = true;
 
   // Disarm before the context goes back to the library: the substrate
   // keeps callbacks armed until told otherwise, and the next user of
   // this thread's context must not inherit them.  In async mode this
   // also drains the ring, completing the histogram.
-  disarm_overflows();
+  disarm();
 
   // Close the attribution window while the context is still ours: its
   // overhead clock keeps running for the thread's next user.
@@ -1124,18 +1020,15 @@ Status EventSet::stop(std::span<long long> out) {
   library_.telemetry().trace_instant(TraceEventKind::kStop, clock_now,
                                      static_cast<std::uint64_t>(handle_));
 
-  stopped_raw_valid_ = true;
   // Publish the final totals so batched readers on other threads keep
-  // seeing this set's values after it stops (capacity already reserved).
-  scratch_values_.assign(entries_.size(), 0);
-  compute_values(stopped_raw_, scratch_values_);
+  // seeing this set's values after it stops.
   publish_values(scratch_values_, kPubStopped);
   library_.release_context(this);
   context_ = nullptr;
   for (ComponentSlice& slice : slices_) slice.context = nullptr;
   if (!out.empty()) {
     if (out.size() < entries_.size()) return Error::kInvalid;
-    compute_values(stopped_raw_, out);
+    std::copy(scratch_values_.begin(), scratch_values_.end(), out.begin());
   }
   return partial;
 }

@@ -28,11 +28,12 @@
 #include <span>
 #include <vector>
 
+#include "common/seqlock.h"
 #include "common/status.h"
 #include "core/events.h"
 #include "core/multiplex.h"
 #include "core/profile.h"
-#include "core/sample_ring.h"
+#include "core/sampling_pipeline.h"
 #include "substrate/substrate.h"
 
 namespace papirepro::papi {
@@ -179,19 +180,6 @@ class EventSet {
   Status accum(std::span<long long> inout);
   Status reset();
 
-  /// Batched read over `sets` (all from the same Library): one
-  /// thread-state resolve and one epoch pin amortized across every set.
-  /// Sets running on the calling thread are read live; all others are
-  /// served from their seqlock publication (read_flag::kPublished).
-  /// Values pack consecutively per set into `values`; `entries[i]`
-  /// records set i's window, status, and flags.  kInvalid when entries
-  /// is smaller than sets, the sets span libraries, or values runs out
-  /// of capacity.  Zero-allocation.
-  static Status read_many(std::span<EventSet* const> sets,
-                          std::span<long long> values,
-                          std::span<SnapshotEntry> entries,
-                          std::size_t* values_used = nullptr);
-
   // --- overflow dispatch ---
   /// Arms overflow on `id` (must be a non-derived member event; not
   /// available while multiplexing).  `threshold` counts per interrupt.
@@ -207,10 +195,6 @@ class EventSet {
 
   /// True while this run dispatches overflows through the async ring.
   bool async_sampling_active() const noexcept { return async_active_; }
-  /// The run's sample ring (null when sync or never started async).
-  const SampleRing* sample_ring() const noexcept {
-    return sample_ring_.get();
-  }
 
   // --- SVR4-compatible statistical profiling (PAPI_profil) ---
   /// Histograms the PC observed at each overflow of `id` into `buffer`.
@@ -275,29 +259,57 @@ class EventSet {
   /// entries_ assignment (both rebuild() branches).
   void rebuild_flat_terms();
   Status program_and_arm();
-  /// Sizes every steady-state scratch buffer (read/fold snapshots, mux
-  /// live-slice reads, accum intermediates, the stop() snapshot) so the
-  /// running paths perform no heap allocation after start().
+  /// Sizes every steady-state buffer (the raw snapshot, mux live-slice
+  /// reads, the values accum()/stop() compute) so the running paths
+  /// perform no heap allocation after start().
   void preallocate_scratch();
   Status arm_overflows();
   Status arm_overflow(std::size_t config_index);
-  /// Clears every armed overflow at the substrate and, in async mode,
-  /// drains and detaches the sample ring.  Requires a live context_.
-  void disarm_overflows();
+  /// Clears every callback this run armed on the context — overflow
+  /// handlers and the mux rotation timer — and, in async mode, drains
+  /// and detaches the sample ring.  Requires a live context_.
+  void disarm();
   /// Runs one overflow's heavy half: histogram update or user handler.
   void dispatch_overflow(const OverflowConfig& config,
                          const SubstrateOverflow& overflow);
-  /// Non-mux raw read with bounded retry and wraparound folding: deltas
-  /// between successive reads are taken modulo the substrate counter
-  /// width and accumulated into 64-bit totals.
-  Status read_folded(std::vector<std::uint64_t>& raw_out);
-  /// Reads one component slice's share of `raw_out` through the health
+  /// What a read_pass() serves.  Every kind runs the same pass; the kind
+  /// decides only how a failing slice is treated and whether the pass
+  /// publishes and counts itself.
+  enum class Pass : std::uint8_t {
+    kRead,     ///< read(): the first failing slice fails the pass
+    kPartial,  ///< read_ex(): failing slices serve latched values, flagged
+    kAccum,    ///< accum(): kRead, publication left to the reset after it
+    kFinal,    ///< stop(): kPartial on halted counters, uncounted,
+               ///< untraced, published by stop() once it has disarmed
+  };
+  /// The one read pipeline behind read(), read_ex(), accum(), stop() and
+  /// Library's batched live reads.  A stopped set serves its stop()
+  /// snapshot.  A live set reads every component slice into raw_ through
+  /// the health/retry bracket (a multiplexed set's one slice yields
+  /// scaled estimates), computes `out` (and `flags`, when non-empty),
+  /// publishes once (or leaves that to accum()/stop()), bumps kReads
+  /// once plus each slice's component on success, and wraps itself in a
+  /// kRead trace span when tracing is on.
+  /// Zero-allocation and lock-free.
+  [[gnu::always_inline]] Status read_pass(std::span<long long> out,
+                                         std::span<std::uint32_t> flags,
+                                         Pass pass);
+  /// Reads one component slice's share of raw_ through the health
   /// breaker + retry wrapper, applies wraparound folding / monotonic
   /// sanity guards, latches good values, and records per-native
-  /// read_flag bits in scratch_flags_.  On failure the slice's window
-  /// is filled from the latched values (flags mark it stale).
-  [[gnu::always_inline]] Status read_slice(
-      ComponentSlice& slice, std::vector<std::uint64_t>& raw_out);
+  /// read_flag bits in folds_.  On failure the slice's window is filled
+  /// from the latched values (flags mark it stale).
+  [[gnu::always_inline]] Status read_slice(ComponentSlice& slice);
+  /// A multiplexed set's single slice source, same contract as
+  /// read_slice(): rotates first when slices rotate on reads, reads the
+  /// open group's counters through the same bracket, and writes every
+  /// native's scaled estimate.
+  Status read_mux(ComponentSlice& slice);
+  /// read_slice()'s failure half: fills the slice's window from the
+  /// latched values, flags them stale (and quarantined), returns
+  /// `status`.
+  [[gnu::cold]] Status serve_latched(const ComponentSlice& slice,
+                                     Status status);
   /// Folds the per-native read flags into per-event flags: each event's
   /// flags are the OR over its term natives.
   void compute_flags(std::span<std::uint32_t> flags) const;
@@ -313,7 +325,6 @@ class EventSet {
   void publish_clear() noexcept;
   Status program_mux_group(std::size_t g);
   void rotate_mux();
-  Status snapshot_raw(std::vector<std::uint64_t>& raw_out);
   [[gnu::always_inline]] void compute_values(
       std::span<const std::uint64_t> raw, std::span<long long> out) const;
   int find_entry(EventId id) const;
@@ -401,11 +412,13 @@ class EventSet {
   std::uint64_t mux_window_start_ = 0;
   int mux_timer_id_ = -1;
 
-  /// Steady-state scratch, sized by preallocate_scratch() at start():
-  /// the raw snapshot read() folds from, the live buffer for the
-  /// currently-open mux slice, and accum()'s intermediate values.  All
-  /// reuse capacity across calls — the running hot paths never allocate.
-  std::vector<std::uint64_t> scratch_raw_;
+  /// Steady-state buffers, sized by preallocate_scratch() at start():
+  /// the raw per-native snapshot every read pass fills (after stop() it
+  /// holds the final totals that reads of the stopped set serve), the
+  /// live buffer for the currently-open mux slice, and the values
+  /// accum()/stop() compute.  All reuse capacity across calls — the
+  /// running hot paths never allocate.
+  std::vector<std::uint64_t> raw_;
   std::vector<std::uint64_t> scratch_live_;
   std::vector<long long> scratch_values_;
 
@@ -427,13 +440,12 @@ class EventSet {
   /// the armed enqueue callbacks: an interrupt latched by the PMU can
   /// deliver after stop() replaced the ring, and must land in the ring
   /// it was armed against, not freed memory.
-  std::shared_ptr<SampleRing> sample_ring_;
+  std::shared_ptr<SpscRing<SampleRecord>> sample_ring_;
   bool ring_attached_ = false;
   bool async_active_ = false;
 
-  /// Raw native counts snapshotted at stop(), so read() after stop still
+  /// raw_ holds stop()'s final snapshot, so read() after stop still
   /// returns this set's values even if the substrate is reprogrammed.
-  std::vector<std::uint64_t> stopped_raw_;
   bool stopped_raw_valid_ = false;
 
   // --- cross-thread value publication -------------------------------------
@@ -442,13 +454,11 @@ class EventSet {
   static constexpr std::size_t kMaxPublishedValues = 16;
   enum : std::uint32_t { kPubNeverRan = 0, kPubRunning = 1, kPubStopped = 2 };
   /// Seqlock-published snapshot of this set's values, refreshed by the
-  /// owning thread at start()/read()/stop()/reset().  All fields are
-  /// atomics (relaxed inside the seq bracket), so concurrent batch
-  /// readers on other threads are race-free without ever touching the
-  /// owner's substrate contexts; torn reads are discarded via the seq
-  /// check.  Single writer: the thread driving the set.
+  /// owning thread at start()/read()/stop()/reset(), so batch readers on
+  /// other threads never touch the owner's substrate contexts.  Single
+  /// writer: the thread driving the set.
   struct Published {
-    std::atomic<std::uint32_t> seq{0};  ///< odd while a write is open
+    SeqLock lock;
     std::atomic<std::uint32_t> state{kPubNeverRan};
     std::atomic<std::uint32_t> num_events{0};  ///< authoritative count
     std::atomic<std::uint32_t> stored{0};      ///< values published
@@ -466,10 +476,6 @@ class EventSet {
   void read_published_into(std::span<long long> out,
                            SnapshotEntry& e) const noexcept;
   Published published_;
-  /// Single-writer shadow of published_.seq: the owning thread is the
-  /// only writer, so publish paths bump this plain copy instead of
-  /// re-loading the atomic on every read.
-  std::uint32_t pub_seq_shadow_ = 0;
 };
 
 // Defined here (not eventset.cpp) so Library's batch loops inline it:
@@ -478,50 +484,44 @@ class EventSet {
 inline void EventSet::read_published_into(std::span<long long> out,
                                           SnapshotEntry& e) const noexcept {
   const Published& p = published_;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    // The final attempt gives up on consistency: serve the copy anyway,
-    // marked kStale (the writer kept racing us — a read loop on the
-    // owning thread).
-    const bool last = attempt == 63;
-    const std::uint32_t s1 = p.seq.load(std::memory_order_acquire);
-    if ((s1 & 1u) != 0 && !last) continue;  // write in progress
-    const std::uint32_t state = p.state.load(std::memory_order_relaxed);
-    const std::uint64_t pub_cycles =
-        p.pub_cycles.load(std::memory_order_relaxed);
-    const std::uint32_t num_events =
-        p.num_events.load(std::memory_order_relaxed);
-    const std::uint32_t stored_raw =
-        std::min(p.stored.load(std::memory_order_relaxed),
-                 static_cast<std::uint32_t>(kMaxPublishedValues));
-    std::size_t n = num_events;
-    bool clipped = false;
-    if (n > out.size()) {
-      n = out.size();
-      clipped = true;
-    }
-    const std::size_t stored = std::min<std::size_t>(stored_raw, n);
-    std::uint32_t folded = 0;
+  std::uint32_t state = kPubNeverRan;
+  std::uint64_t pub_cycles = 0;
+  std::uint32_t num_events = 0;
+  std::size_t n = 0;
+  std::size_t stored = 0;
+  std::uint32_t folded = 0;
+  const auto load = [&] {
+    state = p.state.load(std::memory_order_relaxed);
+    pub_cycles = p.pub_cycles.load(std::memory_order_relaxed);
+    num_events = p.num_events.load(std::memory_order_relaxed);
+    n = std::min<std::size_t>(num_events, out.size());
+    stored = std::min<std::size_t>(
+        std::min<std::size_t>(p.stored.load(std::memory_order_relaxed),
+                              kMaxPublishedValues),
+        n);
+    folded = 0;
     for (std::size_t i = 0; i < stored; ++i) {
       out[i] = p.values[i].load(std::memory_order_relaxed);
       folded |= p.flags[i].load(std::memory_order_relaxed);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (!last && p.seq.load(std::memory_order_relaxed) != s1) continue;
-    if (state == kPubNeverRan) {
-      e.status = Error::kNotRunning;
-      e.num_values = 0;
-      return;
-    }
-    e.pub_cycles = pub_cycles;
-    e.flags |= read_flag::kPublished | folded;
-    if (clipped || last) e.flags |= read_flag::kStale;
-    for (std::size_t i = stored; i < n; ++i) {
-      out[i] = 0;
-      e.flags |= read_flag::kNoData;
-    }
-    e.num_values = static_cast<std::uint32_t>(n);
+  };
+  // Out of attempts, the writer kept racing us (a read loop on the
+  // owning thread): serve a copy anyway, marked kStale.
+  const bool consistent = p.lock.read(load);
+  if (!consistent) load();
+  if (state == kPubNeverRan) {
+    e.status = Error::kNotRunning;
+    e.num_values = 0;
     return;
   }
+  e.pub_cycles = pub_cycles;
+  e.flags |= read_flag::kPublished | folded;
+  if (num_events > out.size() || !consistent) e.flags |= read_flag::kStale;
+  for (std::size_t i = stored; i < n; ++i) {
+    out[i] = 0;
+    e.flags |= read_flag::kNoData;
+  }
+  e.num_values = static_cast<std::uint32_t>(n);
 }
 
 }  // namespace papirepro::papi

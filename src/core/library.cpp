@@ -288,7 +288,7 @@ Status Library::set_retry_policy(const RetryPolicy& policy) {
 // --- asynchronous sampling pipeline -----------------------------------------
 
 Status Library::configure_sampling(const SamplingConfig& config) {
-  if (config.ring_capacity > SampleRing::kMaxCapacity) {
+  if (config.ring_capacity > SpscRing<SampleRecord>::kMaxCapacity) {
     return Error::kInvalid;
   }
   sampling_.configure(config);
@@ -546,21 +546,21 @@ EventSet* Library::current_running() const noexcept {
   return nullptr;
 }
 
-std::size_t Library::batch_num_values(EventSet& set,
-                                      bool live) const noexcept {
-  if (live) return set.entries_.size();
-  return set.published_.num_events.load(std::memory_order_acquire);
-}
-
-Status Library::batch_fill(EventSet& set, bool live,
-                           std::span<long long> out, SnapshotEntry& e) {
-  e.status = Error::kOk;
-  e.flags = 0;
-  e.num_values = 0;
-  e.pub_cycles = 0;
-  if (live) {
+Status Library::batch_fill(EventSet& set, EventSet* my_running,
+                           std::span<long long> values, std::size_t& used,
+                           SnapshotEntry& e) {
+  e = SnapshotEntry{.handle = set.handle(),
+                    .first_value = static_cast<std::uint32_t>(used)};
+  const std::span<long long> out = values.subspan(used);
+  if (&set != my_running) {
+    if (set.published_.num_events.load(std::memory_order_acquire) >
+        out.size()) {
+      return Error::kInvalid;  // caller's values buffer is too small
+    }
+    set.read_published_into(out, e);
+  } else {
     const std::size_t n = set.entries_.size();
-    if (out.size() < n) return Error::kInvalid;
+    if (n > out.size()) return Error::kInvalid;
     const Status s = set.read(out.first(n));
     if (s.ok()) {
       e.num_values = static_cast<std::uint32_t>(n);
@@ -568,22 +568,20 @@ Status Library::batch_fill(EventSet& set, bool live,
       // The live read just republished: its stamp is the read time.
       e.pub_cycles =
           set.published_.pub_cycles.load(std::memory_order_relaxed);
-      return Error::kOk;
-    }
-    if (s.error() == Error::kNotRunning) {
+    } else if (s.error() == Error::kNotRunning) {
       e.status = s.error();
-      return Error::kOk;
+    } else {
+      // The live read failed (quarantine, substrate fault): serve the
+      // last publication and mark the provenance instead of failing the
+      // batch.
+      set.read_published_into(out, e);
+      e.flags |= read_flag::kStale;
+      if (s.error() == Error::kComponentQuarantined) {
+        e.flags |= read_flag::kQuarantined;
+      }
     }
-    // The live read failed (quarantine, substrate fault): serve the last
-    // publication and mark the provenance instead of failing the batch.
-    set.read_published_into(out, e);
-    e.flags |= read_flag::kStale;
-    if (s.error() == Error::kComponentQuarantined) {
-      e.flags |= read_flag::kQuarantined;
-    }
-    return Error::kOk;
   }
-  set.read_published_into(out, e);
+  used += e.num_values;
   return Error::kOk;
 }
 
@@ -597,18 +595,9 @@ Status Library::read_many(std::span<EventSet* const> sets,
   EventSet* const my_running = current_running();
   std::size_t used = 0;
   for (std::size_t i = 0; i < sets.size(); ++i) {
-    EventSet* set = sets[i];
-    if (set == nullptr) return Error::kInvalid;
-    SnapshotEntry& e = entries[i];
-    e.handle = set->handle();
-    e.first_value = static_cast<std::uint32_t>(used);
-    const bool live = set == my_running;
-    if (used + batch_num_values(*set, live) > values.size()) {
-      return Error::kInvalid;  // caller's values buffer is too small
-    }
+    if (sets[i] == nullptr) return Error::kInvalid;
     PAPIREPRO_RETURN_IF_ERROR(
-        batch_fill(*set, live, values.subspan(used), e));
-    used += e.num_values;
+        batch_fill(*sets[i], my_running, values, used, entries[i]));
   }
   if (values_used != nullptr) *values_used = used;
   return Error::kOk;
@@ -630,24 +619,17 @@ Status Library::read_many_handles(std::span<const int> handles,
   const EpochPin pin(*this, *state.value());
   std::size_t used = 0;
   for (std::size_t i = 0; i < handles.size(); ++i) {
-    SnapshotEntry& e = entries[i];
-    e.handle = handles[i];
-    e.first_value = static_cast<std::uint32_t>(used);
-    e.num_values = 0;
-    e.flags = 0;
-    e.pub_cycles = 0;
     EventSet* set = find_set(handles[i]);
     if (set == nullptr) {
-      e.status = Error::kNoEventSet;  // per-entry, not a batch failure
+      // Per-entry, not a batch failure.
+      entries[i] = SnapshotEntry{
+          .handle = handles[i],
+          .first_value = static_cast<std::uint32_t>(used),
+          .status = Error::kNoEventSet};
       continue;
     }
-    const bool live = set == my_running;
-    if (used + batch_num_values(*set, live) > values.size()) {
-      return Error::kInvalid;  // caller's values buffer is too small
-    }
     PAPIREPRO_RETURN_IF_ERROR(
-        batch_fill(*set, live, values.subspan(used), e));
-    used += e.num_values;
+        batch_fill(*set, my_running, values, used, entries[i]));
   }
   if (values_used != nullptr) *values_used = used;
   return Error::kOk;
@@ -706,16 +688,8 @@ Status Library::snapshot_all(std::span<SnapshotEntry> entries,
       EventSet* set = chunk[s].load(std::memory_order_seq_cst);
       if (set == nullptr) continue;
       if (n_entries == entries.size()) return Error::kInvalid;
-      SnapshotEntry& e = entries[n_entries];
-      e.handle = set->handle();
-      e.first_value = static_cast<std::uint32_t>(used);
-      const bool live = set == my_running;
-      if (used + batch_num_values(*set, live) > values.size()) {
-        return Error::kInvalid;  // caller's values buffer is too small
-      }
-      PAPIREPRO_RETURN_IF_ERROR(
-          batch_fill(*set, live, values.subspan(used), e));
-      used += e.num_values;
+      PAPIREPRO_RETURN_IF_ERROR(batch_fill(*set, my_running, values, used,
+                                           entries[n_entries]));
       ++n_entries;
     }
   }

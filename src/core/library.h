@@ -171,7 +171,9 @@ class Library {
   /// Handle-resolving variant (the C API's entry): lookups happen inside
   /// the caller's epoch pin, so a concurrent destroy_event_set defers
   /// reclamation instead of racing.  Unknown handles yield a per-entry
-  /// kNoEventSet status, not a batch failure.
+  /// kNoEventSet status, not a batch failure.  The first call on a
+  /// thread registers it, creating its CounterContext (see
+  /// register_thread()).
   Status read_many_handles(std::span<const int> handles,
                            std::span<long long> values,
                            std::span<SnapshotEntry> entries,
@@ -179,7 +181,10 @@ class Library {
   /// One coherent pass over every live EventSet in the library (the
   /// whole handle table), into caller-owned vectors that are resized to
   /// fit (contents replaced) and reused — steady state allocates
-  /// nothing once capacity is warm.
+  /// nothing once capacity is warm.  Like read_many_handles(), the first
+  /// call on a thread registers it (creating its CounterContext), so a
+  /// thread that polls while others count should register before they
+  /// start.
   Status snapshot_all(std::vector<SnapshotEntry>& entries,
                       std::vector<long long>& values);
   /// Fixed-capacity variant (the C API's entry): kInvalid when either
@@ -277,8 +282,8 @@ class Library {
 
   // --- asynchronous sampling pipeline ---
   /// The per-Library sample aggregator: one consumer thread draining
-  /// every running EventSet's overflow ring (PAPIrepro_set_sampling /
-  /// PAPIrepro_sampling_stats at the C level).
+  /// every running EventSet's overflow ring (PAPIrepro_set_sampling at
+  /// the C level).
   SamplingAggregator& sampling() noexcept { return sampling_; }
   const SamplingAggregator& sampling() const noexcept { return sampling_; }
   /// Applies to EventSets started after the call; running sets keep the
@@ -295,7 +300,7 @@ class Library {
   const TelemetryRegistry& telemetry() const noexcept { return telemetry_; }
   /// Registry counter totals plus the subsystem gauges (alloc-cache
   /// entries, sampling ring state) folded in — the one read path behind
-  /// PAPIrepro_get_telemetry and the legacy stats entry points.
+  /// PAPIrepro_get_telemetry.
   TelemetrySnapshot telemetry_snapshot() const;
   /// Enables/disables the per-thread trace rings (PAPIrepro_set_trace).
   /// `ring_capacity` 0 keeps the registry default.
@@ -354,14 +359,13 @@ class Library {
   /// Frees every graveyard entry no active reader pin can still reach.
   /// Caller holds sets_mutex_.
   void reclaim_retired_locked();
-  /// Number of values `set` will produce in a batch (live event count or
-  /// the published header's count).
-  std::size_t batch_num_values(EventSet& set, bool live) const noexcept;
-  /// Fills one batch entry: live read for the caller's running set (with
-  /// publication fallback on failure), seqlock publication copy for
-  /// everything else.  Writes e.num_values values into `out`; kInvalid
-  /// only when `out` cannot hold a live read.
-  Status batch_fill(EventSet& set, bool live, std::span<long long> out,
+  /// The per-entry step every batched read shares: a live read for the
+  /// caller's running set `my_running` (with publication fallback on
+  /// failure), a seqlock publication copy for everything else.  Fills
+  /// `e` and its values at values[used ..], then advances `used`;
+  /// kInvalid when `values` cannot hold the set's values.
+  Status batch_fill(EventSet& set, EventSet* my_running,
+                    std::span<long long> values, std::size_t& used,
                     SnapshotEntry& e);
   /// The calling thread's currently running set, resolved through the
   /// thread-local cache (no registry lock), or nullptr.

@@ -37,14 +37,15 @@ void SamplingAggregator::ensure_thread_locked() {
   thread_ = std::thread([this] { run(); });
 }
 
-void SamplingAggregator::attach(SampleRing* ring, Dispatch dispatch) {
+void SamplingAggregator::attach(SpscRing<SampleRecord>* ring,
+                                Dispatch dispatch) {
   const std::lock_guard<std::recursive_mutex> lock(mutex_);
   sources_.push_back({ring, std::move(dispatch), false});
   ensure_thread_locked();
   cv_.notify_all();
 }
 
-void SamplingAggregator::detach(SampleRing* ring) {
+void SamplingAggregator::detach(SpscRing<SampleRecord>* ring) {
   const std::lock_guard<std::recursive_mutex> lock(mutex_);
   for (Source& s : sources_) {
     if (s.ring != ring || s.dead) continue;
@@ -66,7 +67,7 @@ void SamplingAggregator::detach(SampleRing* ring) {
   }
 }
 
-void SamplingAggregator::flush(SampleRing* ring) {
+void SamplingAggregator::flush(SpscRing<SampleRecord>* ring) {
   const std::lock_guard<std::recursive_mutex> lock(mutex_);
   for (Source& s : sources_) {
     if (s.ring != ring || s.dead) continue;

@@ -24,11 +24,22 @@
 #include <thread>
 #include <vector>
 
-#include "core/sample_ring.h"
+#include "common/spsc_ring.h"
 
 namespace papirepro::papi {
 
 class TelemetryRegistry;
+
+/// One overflow occurrence, as captured at interrupt delivery.  POD so
+/// enqueue is a handful of stores; the armed-config index says which
+/// handler / profile buffer the aggregator dispatches it to.
+struct SampleRecord {
+  std::uint32_t config_index = 0;
+  std::uint32_t has_precise = 0;
+  std::uint64_t pc_observed = 0;
+  std::uint64_t pc_precise = 0;
+  std::uint64_t addr = 0;
+};
 
 /// Pipeline knobs (PAPIrepro_set_sampling).  `async` off keeps the seed
 /// behaviour: overflow handlers run synchronously inside the counting
@@ -43,8 +54,8 @@ struct SamplingConfig {
   std::uint64_t poll_interval_us = 100;
 };
 
-/// Cumulative pipeline counters (PAPIrepro_sampling_stats); totals
-/// since Library construction, across all rings ever attached.
+/// Cumulative pipeline counters (Library::sampling_stats); totals since
+/// Library construction, across all rings ever attached.
 struct SamplingStats {
   std::uint64_t enqueued = 0;    ///< records accepted by rings
   std::uint64_t dropped = 0;     ///< records lost to full rings
@@ -77,12 +88,12 @@ class SamplingAggregator {
   /// the thread calling flush/detach) once per drained record.  The
   /// ring and everything `dispatch` touches must stay alive until
   /// detach() returns.
-  void attach(SampleRing* ring, Dispatch dispatch);
+  void attach(SpscRing<SampleRecord>* ring, Dispatch dispatch);
   /// Drains the ring to empty, dispatching every record, then removes
   /// it.  Safe to call from a dispatch callback (recursive mutex).
-  void detach(SampleRing* ring);
+  void detach(SpscRing<SampleRecord>* ring);
   /// Drains the ring to empty without removing it.
-  void flush(SampleRing* ring);
+  void flush(SpscRing<SampleRecord>* ring);
 
   SamplingStats stats() const;
 
@@ -95,7 +106,7 @@ class SamplingAggregator {
 
  private:
   struct Source {
-    SampleRing* ring = nullptr;
+    SpscRing<SampleRecord>* ring = nullptr;
     Dispatch dispatch;
     bool dead = false;  ///< detached mid-sweep; pruned after the pass
   };

@@ -7,13 +7,16 @@ namespace papirepro::papi {
 
 Status TelemetryRegistry::set_trace(bool enabled,
                                     std::size_t ring_capacity) {
-  if (ring_capacity > TraceRing::kMaxCapacity) return Error::kInvalid;
+  if (ring_capacity > SpscRing<TraceRecord>::kMaxCapacity) {
+    return Error::kInvalid;
+  }
   const std::lock_guard<std::mutex> lock(mutex_);
   if (enabled) {
     if (ring_capacity != 0) trace_capacity_ = ring_capacity;
     for (const auto& slab : slabs_) {
       if (slab->ring.load(std::memory_order_relaxed) != nullptr) continue;
-      rings_.push_back(std::make_unique<TraceRing>(trace_capacity_));
+      rings_.push_back(
+          std::make_unique<SpscRing<TraceRecord>>(trace_capacity_));
       slab->ring.store(rings_.back().get(), std::memory_order_release);
     }
   }
@@ -36,7 +39,7 @@ TelemetrySnapshot TelemetryRegistry::snapshot() const {
       out.component_counters[c] +=
           slab->component_counts[c].load(std::memory_order_relaxed);
     }
-    if (const TraceRing* ring =
+    if (const SpscRing<TraceRecord>* ring =
             slab->ring.load(std::memory_order_relaxed)) {
       out.trace_records_buffered += ring->size();
     }
@@ -61,7 +64,8 @@ std::string TelemetryRegistry::dump_trace(TraceFormat format) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& slab : slabs_) {
-      TraceRing* ring = slab->ring.load(std::memory_order_relaxed);
+      SpscRing<TraceRecord>* ring =
+          slab->ring.load(std::memory_order_relaxed);
       if (ring == nullptr) continue;
       TraceRecord r;
       while (ring->try_pop(r)) {

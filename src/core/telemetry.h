@@ -13,10 +13,10 @@
 //     Library's context cache — resolves the slab without touching the
 //     registry mutex; only a thread's *first* bump registers a slab.
 //   * an opt-in per-thread trace ring of fixed-size span/instant records
-//     (the SampleRing SPSC shape: the producer is the instrumented hot
-//     path and must never block or allocate; the consumer is whoever
-//     calls dump_trace(), serialized by the registry mutex), exportable
-//     as chrome://tracing JSON or CSV.
+//     (an SpscRing: the producer is the instrumented hot path and must
+//     never block or allocate; the consumer is whoever calls
+//     dump_trace(), serialized by the registry mutex), exportable as
+//     chrome://tracing JSON or CSV.
 //
 // Counter slabs and trace rings are never freed before the registry is
 // destroyed: a thread that exits keeps its counts in the totals, and a
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/spsc_ring.h"
 #include "common/status.h"
 
 namespace papirepro::papi {
@@ -149,64 +150,9 @@ struct TraceRecord {
   TraceEventKind kind = TraceEventKind::kStart;
 };
 
-/// SPSC ring of trace records, the SampleRing design re-applied: the
-/// producer is the instrumented hot path on the slab-owning thread
-/// (wait-free, allocation-free, drops on full); the consumer is
-/// dump_trace(), serialized by the registry mutex.
-class TraceRing {
- public:
-  static constexpr std::size_t kMinCapacity = 8;
-  static constexpr std::size_t kMaxCapacity = 1u << 20;
-
-  explicit TraceRing(std::size_t capacity) {
-    std::size_t cap = kMinCapacity;
-    while (cap < capacity && cap < kMaxCapacity) cap <<= 1;
-    capacity_ = cap;
-    mask_ = cap - 1;
-    slots_ = std::make_unique<TraceRecord[]>(cap);
-  }
-
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
-
-  std::size_t capacity() const noexcept { return capacity_; }
-
-  bool try_push(const TraceRecord& record) noexcept {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail - head >= capacity_) return false;
-    slots_[tail & mask_] = record;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  bool try_pop(TraceRecord& out) noexcept {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head == tail) return false;
-    out = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  std::size_t size() const noexcept {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(tail - head);
-  }
-
- private:
-  std::size_t capacity_ = 0;
-  std::size_t mask_ = 0;
-  std::unique_ptr<TraceRecord[]> slots_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
-};
-
 /// Point-in-time sum of every telemetry counter plus the gauges folded
 /// in from the subsystems (Library::telemetry_snapshot() fills those) —
-/// the one consistent read path behind PAPIrepro_get_telemetry and the
-/// legacy alloc-cache / sampling stats entry points.
+/// the one consistent read path behind PAPIrepro_get_telemetry.
 struct TelemetrySnapshot {
   std::array<std::uint64_t, kNumTelemetryCounters> counters{};
   /// Per-component control-operation totals, indexed
@@ -334,7 +280,8 @@ class TelemetryRegistry {
     if (!trace_enabled_.load(std::memory_order_relaxed)) return;
     Slab* slab = current_slab();
     if (slab == nullptr) return;
-    TraceRing* ring = slab->ring.load(std::memory_order_acquire);
+    SpscRing<TraceRecord>* ring =
+        slab->ring.load(std::memory_order_acquire);
     if (ring == nullptr) return;
     const bool pushed =
         ring->try_push(TraceRecord{ts_cycles, dur_cycles, arg, kind});
@@ -394,7 +341,7 @@ class TelemetryRegistry {
     std::array<std::atomic<std::uint64_t>,
                kTelemetryMaxComponents * kNumComponentCounters>
         component_counts{};
-    std::atomic<TraceRing*> ring{nullptr};
+    std::atomic<SpscRing<TraceRecord>*> ring{nullptr};
     std::uint64_t thread_key = 0;
     std::uint64_t tid_label = 0;  ///< dense label for trace exports
   };
@@ -441,7 +388,8 @@ class TelemetryRegistry {
     slab->thread_key = key;
     slab->tid_label = slabs_.size();
     if (trace_enabled_.load(std::memory_order_relaxed)) {
-      rings_.push_back(std::make_unique<TraceRing>(trace_capacity_));
+      rings_.push_back(
+          std::make_unique<SpscRing<TraceRecord>>(trace_capacity_));
       slab->ring.store(rings_.back().get(), std::memory_order_release);
     }
     slabs_.push_back(std::move(slab));
@@ -457,7 +405,7 @@ class TelemetryRegistry {
 
   mutable std::mutex mutex_;  ///< guards slabs_, rings_, trace_capacity_
   std::vector<std::unique_ptr<Slab>> slabs_;
-  std::vector<std::unique_ptr<TraceRing>> rings_;
+  std::vector<std::unique_ptr<SpscRing<TraceRecord>>> rings_;
   std::size_t trace_capacity_ = kDefaultTraceCapacity;
 };
 

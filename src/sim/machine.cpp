@@ -186,17 +186,25 @@ void Machine::step() {
     case Opcode::kMov:
       iregs_[ins.rd] = iregs_[ins.rs1];
       break;
+    // Add, sub and mul wrap around like the hardware's: they compute
+    // unsigned, because signed overflow is UB (random_access's LCG
+    // overflows on every step).
     case Opcode::kAdd:
-      iregs_[ins.rd] = iregs_[ins.rs1] + iregs_[ins.rs2];
+      iregs_[ins.rd] = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(iregs_[ins.rs1]) +
+          static_cast<std::uint64_t>(iregs_[ins.rs2]));
       break;
     case Opcode::kAddi:
-      iregs_[ins.rd] = iregs_[ins.rs1] + ins.imm;
+      iregs_[ins.rd] = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(iregs_[ins.rs1]) +
+          static_cast<std::uint64_t>(ins.imm));
       break;
     case Opcode::kSub:
-      iregs_[ins.rd] = iregs_[ins.rs1] - iregs_[ins.rs2];
+      iregs_[ins.rd] = static_cast<std::int64_t>(
+          static_cast<std::uint64_t>(iregs_[ins.rs1]) -
+          static_cast<std::uint64_t>(iregs_[ins.rs2]));
       break;
     case Opcode::kMul:
-      // Wrap-around semantics (compute unsigned: signed overflow is UB).
       iregs_[ins.rd] = static_cast<std::int64_t>(
           static_cast<std::uint64_t>(iregs_[ins.rs1]) *
           static_cast<std::uint64_t>(iregs_[ins.rs2]));

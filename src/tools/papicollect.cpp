@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <latch>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -143,7 +144,14 @@ Result<PapicollectResult> papicollect(const PapicollectRequest& request) {
   // from this thread would race the rank threads stepping it (a real
   // collector has no shared cycle clock with its remote ranks either).
   std::uint64_t collector_now = 0;
+  // The collector registers before any rank thread starts: registering
+  // creates its counter context, which on sim attaches a PMU listener to
+  // the fallback machine (rank 0's), and a machine's listener walk is
+  // lock-free only while no registration runs beside it.
+  std::latch collector_registered(1);
   std::thread collector_thread([&] {
+    (void)library.register_thread();
+    collector_registered.count_down();
     while (collecting.load(std::memory_order_acquire)) {
       if (library.snapshot_all(snap_entries, snap_values).ok() &&
           !snap_entries.empty()) {
@@ -173,6 +181,7 @@ Result<PapicollectResult> papicollect(const PapicollectRequest& request) {
     }
   });
 
+  collector_registered.wait();
   sim::CommWorld world(raw);
   const bool all_halted = world.run_threaded(
       /*max_instructions_per_rank=*/100'000'000,

@@ -54,8 +54,7 @@ void Perfometer::sample() {
   // which case the value arrives from the set's publication.
   long long value = 0;
   papi::SnapshotEntry entry;
-  if (!papi::EventSet::read_many({&set_, 1}, {&value, 1}, {&entry, 1})
-           .ok() ||
+  if (!library_.read_many({&set_, 1}, {&value, 1}, {&entry, 1}).ok() ||
       entry.status != Error::kOk) {
     return;
   }

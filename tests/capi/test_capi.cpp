@@ -327,16 +327,14 @@ TEST_F(CapiSim, ThreadsCountConcurrently) {
 }
 
 TEST_F(CapiSim, AllocCacheStats) {
-  EXPECT_EQ(PAPIrepro_alloc_cache_stats(nullptr), PAPI_EINVAL);
-
   int es = PAPI_NULL;
   ASSERT_EQ(PAPI_create_eventset(&es), PAPI_OK);
   ASSERT_EQ(PAPI_add_event(es, PAPI_FMA_INS), PAPI_OK);
   ASSERT_EQ(PAPI_add_event(es, PAPI_TOT_INS), PAPI_OK);
-  PAPIrepro_alloc_cache_stats_t first = {};
-  ASSERT_EQ(PAPIrepro_alloc_cache_stats(&first), PAPI_OK);
-  EXPECT_GT(first.misses, 0);
-  EXPECT_GT(first.entries, 0);
+  PAPIrepro_telemetry_t first = {};
+  ASSERT_EQ(PAPIrepro_get_telemetry(&first), PAPI_OK);
+  EXPECT_GT(first.alloc_cache_misses, 0);
+  EXPECT_GT(first.alloc_cache_entries, 0);
 
   // An identical second build replays from the cache: hits move, misses
   // do not.
@@ -344,10 +342,11 @@ TEST_F(CapiSim, AllocCacheStats) {
   ASSERT_EQ(PAPI_create_eventset(&es2), PAPI_OK);
   ASSERT_EQ(PAPI_add_event(es2, PAPI_FMA_INS), PAPI_OK);
   ASSERT_EQ(PAPI_add_event(es2, PAPI_TOT_INS), PAPI_OK);
-  PAPIrepro_alloc_cache_stats_t second = {};
-  ASSERT_EQ(PAPIrepro_alloc_cache_stats(&second), PAPI_OK);
-  EXPECT_EQ(second.misses, first.misses);
-  EXPECT_GT(second.hits, first.hits);
+  PAPIrepro_telemetry_t second = {};
+  ASSERT_EQ(PAPIrepro_get_telemetry(&second), PAPI_OK);
+  EXPECT_EQ(second.alloc_cache_misses, first.alloc_cache_misses);
+  EXPECT_GT(second.alloc_cache_hits, first.alloc_cache_hits);
+  EXPECT_EQ(second.alloc_cache_entries, first.alloc_cache_entries);
   (void)PAPI_destroy_eventset(&es);
   (void)PAPI_destroy_eventset(&es2);
 }

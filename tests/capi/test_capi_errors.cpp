@@ -100,8 +100,6 @@ TEST(CapiErrorsNoInit, EveryEntryPointReportsNoInit) {
   EXPECT_EQ(PAPIrepro_set_retry(3, 0), PAPI_ENOINIT);
   EXPECT_EQ(PAPIrepro_set_estimation(1), PAPI_ENOINIT);
   EXPECT_EQ(PAPIrepro_set_sampling(1, 0), PAPI_ENOINIT);
-  PAPIrepro_sampling_stats_t stats;
-  EXPECT_EQ(PAPIrepro_sampling_stats(&stats), PAPI_ENOINIT);
   PAPIrepro_telemetry_t telemetry;
   EXPECT_EQ(PAPIrepro_get_telemetry(&telemetry), PAPI_ENOINIT);
   EXPECT_EQ(PAPIrepro_set_trace(1, 0), PAPI_ENOINIT);
@@ -348,24 +346,23 @@ TEST_F(CapiErrors, OverflowArgumentMatrix) {
 }
 
 TEST_F(CapiErrors, SamplingKnobMatrix) {
-  EXPECT_EQ(PAPIrepro_sampling_stats(nullptr), PAPI_EINVAL);
   // Ring capacity beyond the supported maximum (1 << 20 records).
   EXPECT_EQ(PAPIrepro_set_sampling(1, 1ull << 21), PAPI_EINVAL);
 
   ASSERT_EQ(PAPIrepro_set_sampling(1, 0), PAPI_OK);
-  PAPIrepro_sampling_stats_t stats = {};
-  ASSERT_EQ(PAPIrepro_sampling_stats(&stats), PAPI_OK);
-  EXPECT_EQ(stats.async, 1);
-  EXPECT_EQ(stats.ring_capacity, 1024);  // 0 keeps the default
+  PAPIrepro_telemetry_t t = {};
+  ASSERT_EQ(PAPIrepro_get_telemetry(&t), PAPI_OK);
+  EXPECT_EQ(t.sampling_async, 1);
+  EXPECT_EQ(t.sampling_ring_capacity, 1024);  // 0 keeps the default
 
   ASSERT_EQ(PAPIrepro_set_sampling(1, 4096), PAPI_OK);
-  ASSERT_EQ(PAPIrepro_sampling_stats(&stats), PAPI_OK);
-  EXPECT_EQ(stats.ring_capacity, 4096);
+  ASSERT_EQ(PAPIrepro_get_telemetry(&t), PAPI_OK);
+  EXPECT_EQ(t.sampling_ring_capacity, 4096);
 
   ASSERT_EQ(PAPIrepro_set_sampling(0, 0), PAPI_OK);
-  ASSERT_EQ(PAPIrepro_sampling_stats(&stats), PAPI_OK);
-  EXPECT_EQ(stats.async, 0);
-  EXPECT_EQ(stats.ring_capacity, 4096);  // capacity survives the toggle
+  ASSERT_EQ(PAPIrepro_get_telemetry(&t), PAPI_OK);
+  EXPECT_EQ(t.sampling_async, 0);
+  EXPECT_EQ(t.sampling_ring_capacity, 4096);  // survives the toggle
 }
 
 TEST(CapiSampling, AsyncProfilDeliversHistogramAndStats) {
@@ -395,12 +392,14 @@ TEST(CapiSampling, AsyncProfilDeliversHistogramAndStats) {
   for (const unsigned int b : buf) histogram_total += b;
   EXPECT_GT(histogram_total, 100u);
 
-  PAPIrepro_sampling_stats_t stats = {};
-  ASSERT_EQ(PAPIrepro_sampling_stats(&stats), PAPI_OK);
-  EXPECT_EQ(stats.async, 1);
-  EXPECT_EQ(stats.dispatched, stats.enqueued);
-  EXPECT_EQ(stats.dropped, 0);
-  EXPECT_EQ(static_cast<unsigned long long>(stats.dispatched),
+  PAPIrepro_telemetry_t t = {};
+  ASSERT_EQ(PAPIrepro_get_telemetry(&t), PAPI_OK);
+  EXPECT_EQ(t.sampling_async, 1);
+  EXPECT_EQ(t.sampling_rings_active, 0);  // detached by PAPI_stop
+  EXPECT_GE(t.sampling_flushes, 1);
+  EXPECT_EQ(t.samples_dispatched, t.samples_enqueued);
+  EXPECT_EQ(t.samples_dropped, 0);
+  EXPECT_EQ(static_cast<unsigned long long>(t.samples_dispatched),
             histogram_total);
   PAPI_shutdown();
   PAPIrepro_sim_destroy(sim);
@@ -462,7 +461,7 @@ TEST_F(CapiErrors, TelemetryKnobMatrix) {
   std::remove(good.c_str());
 }
 
-TEST_F(CapiErrors, TelemetrySnapshotAndCompatWrappersAgree) {
+TEST_F(CapiErrors, TelemetrySnapshotAndTraceDump) {
   ASSERT_EQ(PAPIrepro_set_trace(1, 0), PAPI_OK);
   int es = PAPI_NULL;
   ASSERT_EQ(PAPI_create_eventset(&es), PAPI_OK);
@@ -486,21 +485,6 @@ TEST_F(CapiErrors, TelemetrySnapshotAndCompatWrappersAgree) {
   EXPECT_GE(t.trace_records, 3);
   EXPECT_EQ(t.trace_drops, 0);
   EXPECT_EQ(t.trace_records_buffered, t.trace_records);
-
-  // The legacy stats entry points are wrappers over the same snapshot:
-  // they can never disagree with the unified struct.
-  PAPIrepro_alloc_cache_stats_t cache = {};
-  ASSERT_EQ(PAPIrepro_alloc_cache_stats(&cache), PAPI_OK);
-  EXPECT_EQ(cache.hits, t.alloc_cache_hits);
-  EXPECT_EQ(cache.misses, t.alloc_cache_misses);
-  EXPECT_EQ(cache.evictions, t.alloc_cache_evictions);
-  EXPECT_EQ(cache.invalidations, t.alloc_cache_invalidations);
-
-  PAPIrepro_sampling_stats_t sampling = {};
-  ASSERT_EQ(PAPIrepro_sampling_stats(&sampling), PAPI_OK);
-  EXPECT_EQ(sampling.enqueued, t.samples_enqueued);
-  EXPECT_EQ(sampling.dropped, t.samples_dropped);
-  EXPECT_EQ(sampling.dispatched, t.samples_dispatched);
 
   const std::string path =
       ::testing::TempDir() + "papirepro_capi_dump.json";

@@ -110,7 +110,7 @@ TEST(HotPathAlloc, SequentialMuxRotationAllocationFree) {
 }
 
 TEST(HotPathAlloc, StopAllocationFree) {
-  // stop() snapshots into the preallocated stop buffer and releases the
+  // stop() snapshots into the preallocated raw buffer and releases the
   // thread context through the thread-local fast path: after one full
   // warm-up cycle it performs no allocation either.
   SimFixture f(sim::make_empty_loop(10), pmu::sim_x86(),
@@ -120,7 +120,7 @@ TEST(HotPathAlloc, StopAllocationFree) {
   ASSERT_TRUE(set.add_preset(Preset::kTotCyc).ok());
   std::vector<long long> v(set.num_events());
 
-  // Warm-up cycle: sizes stopped_raw_ and the start-path caches.
+  // Warm-up cycle: warms the start-path caches.
   ASSERT_TRUE(set.start().ok());
   ASSERT_TRUE(set.read(v).ok());
   ASSERT_TRUE(set.stop(v).ok());

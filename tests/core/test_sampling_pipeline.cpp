@@ -14,7 +14,7 @@
 
 #include "core/eventset.h"
 #include "core/profile.h"
-#include "core/sample_ring.h"
+#include "core/sampling_pipeline.h"
 #include "test_util.h"
 
 namespace papirepro::papi {
@@ -24,14 +24,15 @@ using papirepro::test::AllocationGuard;
 using papirepro::test::SimFixture;
 
 TEST(SamplingRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SampleRing(1).capacity(), SampleRing::kMinCapacity);
-  EXPECT_EQ(SampleRing(7).capacity(), 8u);
-  EXPECT_EQ(SampleRing(8).capacity(), 8u);
-  EXPECT_EQ(SampleRing(1000).capacity(), 1024u);
+  EXPECT_EQ(SpscRing<SampleRecord>(1).capacity(),
+            SpscRing<SampleRecord>::kMinCapacity);
+  EXPECT_EQ(SpscRing<SampleRecord>(7).capacity(), 8u);
+  EXPECT_EQ(SpscRing<SampleRecord>(8).capacity(), 8u);
+  EXPECT_EQ(SpscRing<SampleRecord>(1000).capacity(), 1024u);
 }
 
 TEST(SamplingRing, FifoOrderAndCounters) {
-  SampleRing ring(8);
+  SpscRing<SampleRecord> ring(8);
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_TRUE(ring.try_push(SampleRecord{.pc_observed = i}));
   }
@@ -42,13 +43,13 @@ TEST(SamplingRing, FifoOrderAndCounters) {
     EXPECT_EQ(out.pc_observed, i);
   }
   EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size(), 0u);
   EXPECT_EQ(ring.pushed(), 5u);
   EXPECT_EQ(ring.dropped(), 0u);
 }
 
 TEST(SamplingRing, FullRingDropsAndAccounts) {
-  SampleRing ring(8);
+  SpscRing<SampleRecord> ring(8);
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(ring.try_push(SampleRecord{}));
   }
@@ -63,7 +64,7 @@ TEST(SamplingRing, FullRingDropsAndAccounts) {
 }
 
 TEST(SamplingRing, EnqueueAndDrainAreAllocationFree) {
-  SampleRing ring(64);
+  SpscRing<SampleRecord> ring(64);
   SampleRecord out;
   AllocationGuard guard;
   for (int i = 0; i < 1000; ++i) {
@@ -312,7 +313,8 @@ TEST(SamplingPipeline, LibraryConfigValidation) {
   EXPECT_EQ(f.library
                 ->configure_sampling(
                     {.async = true,
-                     .ring_capacity = SampleRing::kMaxCapacity * 2})
+                     .ring_capacity =
+                         SpscRing<SampleRecord>::kMaxCapacity * 2})
                 .error(),
             Error::kInvalid);
   EXPECT_TRUE(f.library

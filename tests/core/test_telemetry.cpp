@@ -352,26 +352,27 @@ TEST(TelemetryTrace, CsvRowsMatchBufferedRecords) {
 }
 
 TEST(TelemetryTrace, FullRingDropsAreAccountedNeverBlocking) {
+  constexpr std::size_t kMin = SpscRing<TraceRecord>::kMinCapacity;
   TelemetryRegistry registry;
-  ASSERT_TRUE(registry.set_trace(true, TraceRing::kMinCapacity).ok());
+  ASSERT_TRUE(registry.set_trace(true, kMin).ok());
   for (std::uint64_t i = 0; i < 100; ++i) {
     registry.trace_instant(TraceEventKind::kRead, i, 0);
   }
   const TelemetrySnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.value(TelemetryCounter::kTraceRecords),
-            static_cast<std::uint64_t>(TraceRing::kMinCapacity));
-  EXPECT_EQ(snap.value(TelemetryCounter::kTraceDrops),
-            100u - TraceRing::kMinCapacity);
+  EXPECT_EQ(snap.value(TelemetryCounter::kTraceRecords), kMin);
+  EXPECT_EQ(snap.value(TelemetryCounter::kTraceDrops), 100u - kMin);
   // Draining frees the slots; tracing resumes on the same ring.
   (void)registry.dump_trace(TraceFormat::kCsv);
   registry.trace_instant(TraceEventKind::kRead, 200, 0);
   EXPECT_EQ(registry.snapshot().value(TelemetryCounter::kTraceRecords),
-            static_cast<std::uint64_t>(TraceRing::kMinCapacity) + 1);
+            kMin + 1);
 }
 
 TEST(TelemetryTrace, SetTraceValidatesCapacity) {
   TelemetryRegistry registry;
-  EXPECT_EQ(registry.set_trace(true, TraceRing::kMaxCapacity + 1).error(),
+  EXPECT_EQ(registry
+                .set_trace(true, SpscRing<TraceRecord>::kMaxCapacity + 1)
+                .error(),
             Error::kInvalid);
   EXPECT_FALSE(registry.tracing());
   EXPECT_TRUE(registry.set_trace(true, 0).ok());  // 0 = keep default
