@@ -181,11 +181,9 @@ int main() {
   std::vector<long long> values;
   std::vector<std::uint8_t> wire;
 
-  // One full poll: snapshot every set, batch each node's 32 ranks into
-  // one rank-run frame (the node-agent shape of the reduction tree),
-  // ingest, reduce, publish.  Returns frames accepted.
-  auto poll = [&]() -> std::size_t {
-    if (!library.snapshot_all(entries, values).ok()) return 0;
+  // Batches each node's 32 ranks into one rank-run frame (the
+  // node-agent shape of the reduction tree).
+  auto encode = [&] {
     wire.clear();
     for (std::size_t base = 0; base < entries.size(); base += kFanIn) {
       const std::size_t n = std::min<std::size_t>(
@@ -195,6 +193,12 @@ int main() {
           {&entries[base], n}, values, wire,
           aggregate::kFrameModeRankRun);
     }
+  };
+  // One full poll: snapshot every set, encode, ingest, reduce, publish.
+  // Returns frames accepted.
+  auto poll = [&]() -> std::size_t {
+    if (!library.snapshot_all(entries, values).ok()) return 0;
+    encode();
     const std::size_t accepted = collector.ingest(wire);
     collector.reduce(library.real_cycles());
     region.publish(collector.cluster());
@@ -252,6 +256,7 @@ int main() {
   const double snapshot_pass_ns =
       time_loop(50, [&] { (void)library.snapshot_all(entries, values); });
   const double snapshot_per_set_ns = snapshot_pass_ns / kRanks;
+  const double encode_per_set_ns = time_loop(50, encode) / kRanks;
   // Pre-encoded buffer: the decode side alone.
   const double ingest_pass_ns =
       time_loop(50, [&] { (void)collector.ingest(wire); });
@@ -268,9 +273,9 @@ int main() {
   std::printf("full poll (snapshot+encode+ingest+reduce+publish): "
               "%.0f ns (%.1f ns/rank)\n", best_poll_ns,
               best_poll_ns / kRanks);
-  std::printf("snapshot_all: %.1f ns/set   ingest: %.1f ns/set "
-              "(%.2fx snapshot)\n", snapshot_per_set_ns,
-              ingest_per_set_ns,
+  std::printf("snapshot_all: %.1f ns/set   encode: %.1f ns/set   "
+              "ingest: %.1f ns/set (%.2fx snapshot)\n",
+              snapshot_per_set_ns, encode_per_set_ns, ingest_per_set_ns,
               ingest_per_set_ns / snapshot_per_set_ns);
   std::printf("reduce over %d ranks: %.0f ns   allocs per measured poll: "
               "%.3f\n", kRanks, reduce_ns,
@@ -358,13 +363,14 @@ int main() {
         "  \"metrics\": %u,\n  \"clock\": \"thread_cpu_min_of_%d\",\n"
         "  \"poll_ns\": %.0f,\n  \"poll_ns_per_rank\": %.1f,\n"
         "  \"snapshot_per_set_ns\": %.1f,\n"
+        "  \"encode_per_set_ns\": %.1f,\n"
         "  \"ingest_per_set_ns\": %.1f,\n"
         "  \"ingest_vs_snapshot_ratio\": %.2f,\n"
         "  \"reduce_ns\": %.0f,\n  \"wire_bytes_per_rank\": %.1f,\n"
         "  \"allocs_per_poll\": %.3f,\n  \"stops_during_bench\": %llu,\n"
         "  \"gates_ok\": %s\n}\n",
         kRanks, kMetrics, kReps, best_poll_ns, best_poll_ns / kRanks,
-        snapshot_per_set_ns, ingest_per_set_ns,
+        snapshot_per_set_ns, encode_per_set_ns, ingest_per_set_ns,
         ingest_per_set_ns / snapshot_per_set_ns, reduce_ns,
         static_cast<double>(wire.size()) / kRanks,
         static_cast<double>(poll_allocs) / (kReps * kPollsPerRep),

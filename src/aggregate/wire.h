@@ -100,13 +100,8 @@ struct EntryHeader {
   std::uint32_t num_values = 0;
 };
 
-// --- varint primitives (exposed for tests) --------------------------------
+// --- zigzag mapping: small magnitudes of either sign stay short ----------
 
-/// Appends `v` as LEB128.  Appending into a warm vector is
-/// allocation-free.
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v);
-/// Zigzag-maps then LEB128-encodes a signed value.
-void put_varint_signed(std::vector<std::uint8_t>& out, long long v);
 inline std::uint64_t zigzag_encode(long long v) noexcept {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -121,8 +116,10 @@ inline long long zigzag_decode(std::uint64_t u) noexcept {
 /// through `values` via first_value/num_values, exactly as
 /// snapshot_all laid them out) to `out`.  Reuses `out`'s capacity:
 /// steady-state encoding into a warm buffer performs no allocation.
-/// Returns false (and leaves `out` untouched) when the frame would
-/// exceed kMaxFrameBytes or a declared cap.
+/// Returns false (and leaves `out`'s size and bytes untouched) when the
+/// frame would exceed kMaxFrameBytes or a declared cap, or carries an
+/// entry the decoder would reject: a negative handle, a status outside
+/// 0..kComponentQuarantined, or flags above 0xFF.
 bool encode_frame(std::uint32_t rank, std::uint64_t frame_cycles,
                   std::span<const papi::SnapshotEntry> entries,
                   std::span<const long long> values,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -413,6 +414,132 @@ TEST(AggregationWire, EncoderEnforcesCaps) {
   e.num_values = kMaxValuesPerEntry + 1;
   EXPECT_FALSE(encode_frame(0, 0, {&e, 1}, values, buf));
   EXPECT_EQ(buf.size(), 1u);
+  // Fields the decoder would reject are refused at the source instead
+  // of reaching the collector as a decode error.
+  e.num_values = 2;
+  e.handle = -1;
+  EXPECT_FALSE(encode_frame(0, 0, {&e, 1}, values, buf)) << "handle";
+  e.handle = 1;
+  for (const int status :
+       {1, static_cast<int>(Error::kComponentQuarantined) - 1}) {
+    e.status = static_cast<Error>(status);
+    EXPECT_FALSE(encode_frame(0, 0, {&e, 1}, values, buf)) << status;
+  }
+  e.status = Error::kComponentQuarantined;
+  e.flags = 0x100;  // would otherwise truncate to 0
+  EXPECT_FALSE(encode_frame(0, 0, {&e, 1}, values, buf)) << "flags";
+  ASSERT_EQ(buf.size(), 1u);
+  EXPECT_EQ(buf[0], 0xAB);
+  // The same entry with its flags in range encodes.
+  e.flags = 0xFF;
+  EXPECT_TRUE(encode_frame(0, 0, {&e, 1}, values, buf));
+}
+
+TEST(AggregationWire, LongEntryRoundTripsInBothModes) {
+  // 16 full-width values make a 160+ byte entry, whose entry_len takes
+  // two varint bytes; short neighbours on both sides catch a shift that
+  // lands on the wrong bytes.
+  std::vector<long long> values;
+  papi::SnapshotEntry e[3];
+  for (int i = 0; i < 3; ++i) {
+    e[i].handle = 10 + i;
+    e[i].status = i == 1 ? Error::kOk : Error::kNotRunning;
+    e[i].flags = papi::read_flag::kPublished;
+    e[i].pub_cycles = 5000 - i;
+    e[i].first_value = static_cast<std::uint32_t>(values.size());
+    e[i].num_values = i == 1 ? 16 : 1;
+    for (std::uint32_t v = 0; v < e[i].num_values; ++v) {
+      values.push_back(v % 2 == 0 ? std::numeric_limits<long long>::min()
+                                  : std::numeric_limits<long long>::max());
+    }
+  }
+  for (const std::uint8_t mode : {kFrameModeSingleRank, kFrameModeRankRun}) {
+    std::vector<std::uint8_t> buf;
+    ASSERT_TRUE(encode_frame(3, 5000, e, values, buf, mode));
+    WireReader reader(buf);
+    FrameHeader fh;
+    ASSERT_EQ(reader.begin_frame(fh), WireError::kOk);
+    EXPECT_EQ(fh.mode, mode);
+    ASSERT_EQ(fh.entry_count, 3u);
+    for (const papi::SnapshotEntry& want : e) {
+      EntryHeader got;
+      ASSERT_EQ(reader.read_entry(got), WireError::kOk);
+      EXPECT_EQ(got.handle, want.handle);
+      EXPECT_EQ(got.status, want.status);
+      EXPECT_EQ(got.flags, want.flags);
+      EXPECT_EQ(got.pub_cycles, want.pub_cycles);
+      ASSERT_EQ(got.num_values, want.num_values);
+      std::vector<long long> decoded(got.num_values);
+      ASSERT_EQ(reader.read_values(decoded.data(), got.num_values),
+                WireError::kOk);
+      for (std::uint32_t v = 0; v < got.num_values; ++v) {
+        EXPECT_EQ(decoded[v], values[want.first_value + v]);
+      }
+    }
+    EXPECT_EQ(reader.end_frame(), WireError::kOk);
+    EXPECT_TRUE(reader.done());
+  }
+}
+
+TEST(AggregationWire, OverCapFrameRefusedWithoutOversizingOut) {
+  // 4096 entries each naming the same 1024 full-width values: ~42 MB
+  // of frame, far past kMaxFrameBytes.  The encoder must notice within
+  // one entry of crossing the cap rather than write the whole frame
+  // first.
+  const std::vector<long long> values(kMaxValuesPerEntry,
+                                      std::numeric_limits<long long>::min());
+  papi::SnapshotEntry e;
+  e.handle = 1;
+  e.first_value = 0;
+  e.num_values = kMaxValuesPerEntry;
+  const std::vector<papi::SnapshotEntry> entries(kMaxEntriesPerFrame, e);
+  std::vector<std::uint8_t> buf{0x01, 0x02, 0x03};
+  EXPECT_FALSE(encode_frame(0, 0, entries, values, buf));
+  ASSERT_EQ(buf.size(), 3u);
+  EXPECT_EQ(buf[0], 0x01);
+  EXPECT_EQ(buf[1], 0x02);
+  EXPECT_EQ(buf[2], 0x03);
+  EXPECT_LT(buf.capacity(), 4 * kMaxFrameBytes);
+}
+
+TEST(AggregationWire, RankRunFrameMatchesGoldenBytes) {
+  // Wire v1 pinned byte for byte, so an encoder and decoder that drift
+  // together still fail here.
+  papi::SnapshotEntry e[3];
+  e[0].handle = 7;
+  e[0].flags = papi::read_flag::kPublished;
+  e[0].pub_cycles = 1000;
+  e[0].first_value = 0;
+  e[0].num_values = 2;
+  e[1].handle = 8;
+  e[1].status = Error::kNotRunning;
+  e[1].flags = papi::read_flag::kPublished | papi::read_flag::kStale;
+  e[1].pub_cycles = 990;
+  e[1].first_value = 2;
+  e[1].num_values = 2;
+  e[2].handle = 9;
+  e[2].status = Error::kNoEventSet;
+  e[2].pub_cycles = 0;
+  e[2].first_value = 4;
+  e[2].num_values = 0;
+  const long long values[4] = {123, -1, 300, 0};
+  static constexpr std::uint8_t kGolden[] = {
+      0x27, 0x00, 0x00, 0x00,  // frame_len 39
+      0x50, 0x53, 0x43, 0x46,  // magic "PSCF"
+      0x01, 0x01,              // version 1, rank-run mode
+      0x28,                    // rank 40
+      0xE8, 0x07,              // frame_cycles 1000
+      0x03,                    // entry_count
+      // len, handle, status, flags, pub_delta 0, 2 values: 123, -1
+      0x08, 0x07, 0x00, 0x08, 0x00, 0x02, 0xF6, 0x01, 0x01,
+      // len, handle, -kNotRunning, flags, pub_delta -10, 2 values: 300, 0
+      0x08, 0x08, 0x0A, 0x09, 0x13, 0x02, 0xD8, 0x04, 0x00,
+      // len, handle, -kNoEventSet, flags, pub_delta -1000, 0 values
+      0x06, 0x09, 0x0C, 0x00, 0xCF, 0x0F, 0x00};
+  std::vector<std::uint8_t> buf;
+  ASSERT_TRUE(encode_frame(40, 1000, e, values, buf, kFrameModeRankRun));
+  EXPECT_EQ(buf, std::vector<std::uint8_t>(std::begin(kGolden),
+                                           std::end(kGolden)));
 }
 
 }  // namespace

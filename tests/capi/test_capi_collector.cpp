@@ -178,6 +178,13 @@ TEST_F(AggregationCapi, ArgumentAndHandleMatrix) {
          return PAPIrepro_wire_encode(0, 0, &entry, 1, nullptr, 1, buf,
                                       sizeof buf);
        }},
+      {"encode PAPI_NULL handle",
+       [] {
+         entry = {};
+         entry.event_set = PAPI_NULL;
+         return PAPIrepro_wire_encode(0, 0, &entry, 1, &value, 1, buf,
+                                      sizeof buf);
+       }},
       {"encode capacity too small",
        [] {
          entry = {};
