@@ -17,61 +17,21 @@
 //      the aggregation tax cannot dwarf the read it aggregates;
 //   4. the counting side is never stopped: the telemetry stop counter
 //      is flat across the whole measurement;
-//   5. the seqlock region round-trips the final reduction intact.
+//   5. the seqlock region round-trips the final reduction intact;
+//   6. the collector accepts every node frame of every poll.
 //
-// Clock: per-thread CPU time, min over reps (bench_read_hotpath's
-// method).  Emits BENCH_aggregation.json for PR-over-PR tracking.
+// Clock: each poll is one interleaving round (bench_util.h): one
+// calibration batch, then the poll with its snapshot, encode, ingest and
+// reduce stages timed in place, all scaled to the reference speed, so
+// the stages a gate compares meet the same host conditions.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <ctime>
-#include <new>
 #include <vector>
 
 #include "aggregate/collector.h"
 #include "aggregate/shm_region.h"
 #include "aggregate/wire.h"
 #include "bench_util.h"
-
-// --- global operator-new counting (zero-alloc gate) -----------------------
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, static_cast<std::size_t>(align),
-                     size ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 using namespace papirepro;
 namespace aggregate = papirepro::aggregate;
@@ -81,22 +41,7 @@ namespace {
 constexpr int kRanks = 1024;
 constexpr std::uint32_t kMetrics = 2;  // TOT_CYC, TOT_INS
 constexpr std::uint32_t kFanIn = 32;   // ranks per node = ranks per frame
-constexpr int kReps = 5;
-constexpr int kPollsPerRep = 50;
-
-std::uint64_t thread_cpu_ns() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts{};
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-  }
-#endif
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+constexpr double kRunSeconds = 2.0;
 
 struct Oracle {
   long long min[kMetrics];
@@ -194,26 +139,30 @@ int main() {
           aggregate::kFrameModeRankRun);
     }
   };
-  // One full poll: snapshot every set, encode, ingest, reduce, publish.
-  // Returns frames accepted.
-  auto poll = [&]() -> std::size_t {
-    if (!library.snapshot_all(entries, values).ok()) return 0;
-    encode();
-    const std::size_t accepted = collector.ingest(wire);
-    collector.reduce(library.real_cycles());
-    region.publish(collector.cluster());
-    return accepted;
-  };
   constexpr std::size_t kFramesPerPoll = (kRanks + kFanIn - 1) / kFanIn;
 
-  // Warm-up: vector capacities, slot arrays, first-touch.
-  if (poll() != kFramesPerPoll) {
-    std::printf("GATE FAIL: warm-up poll did not accept %zu frames\n",
-                kFramesPerPoll);
-    return 1;
-  }
+  // --- measured polls: snapshot, encode, ingest, reduce, publish -----------
+  const std::uint64_t stops_before =
+      library.telemetry_snapshot().value(papi::TelemetryCounter::kStops);
+  bench::Timed poll, snapshot, encoding, ingest, reduce;
+  std::size_t frames_rejected = 0;
+  bench::run_interleaved(kRunSeconds, [&](bench::Round& r) {
+    r.time(poll, 1, [&] {
+      r.time(snapshot, 1,
+             [&] { (void)library.snapshot_all(entries, values); });
+      r.time(encoding, 1, encode);
+      std::size_t accepted = 0;
+      r.time(ingest, 1, [&] { accepted = collector.ingest(wire); });
+      r.time(reduce, 1, [&] { collector.reduce(library.real_cycles()); });
+      region.publish(collector.cluster());
+      frames_rejected += kFramesPerPoll - accepted;
+    });
+  });
+  const std::uint64_t stops_delta =
+      library.telemetry_snapshot().value(papi::TelemetryCounter::kStops) -
+      stops_before;
 
-  // --- oracle over the snapshot the collector actually saw ---------------
+  // --- oracle over the snapshot the collector last saw ---------------------
   std::vector<std::vector<long long>> per_metric(kMetrics);
   for (const papi::SnapshotEntry& e : entries) {
     for (std::uint32_t m = 0; m < kMetrics && m < e.num_values; ++m) {
@@ -221,84 +170,49 @@ int main() {
     }
   }
   const Oracle oracle = compute_oracle(per_metric);
-
-  // --- measured steady state ----------------------------------------------
-  const std::uint64_t stops_before =
-      library.telemetry_snapshot().value(papi::TelemetryCounter::kStops);
-  const std::uint64_t allocs_before =
-      g_allocs.load(std::memory_order_relaxed);
-  double best_poll_ns = 1e18;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const std::uint64_t t0 = thread_cpu_ns();
-    for (int p = 0; p < kPollsPerRep; ++p) (void)poll();
-    const std::uint64_t t1 = thread_cpu_ns();
-    const double ns = static_cast<double>(t1 - t0) / kPollsPerRep;
-    if (ns < best_poll_ns) best_poll_ns = ns;
-  }
-  const std::uint64_t poll_allocs =
-      g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  const std::uint64_t stops_delta =
-      library.telemetry_snapshot().value(papi::TelemetryCounter::kStops) -
-      stops_before;
-
-  // Component costs, same clock discipline.
-  auto time_loop = [&](int iters, auto&& op) {
-    double best = 1e18;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const std::uint64_t t0 = thread_cpu_ns();
-      for (int i = 0; i < iters; ++i) op();
-      const std::uint64_t t1 = thread_cpu_ns();
-      const double ns = static_cast<double>(t1 - t0) / iters;
-      if (ns < best) best = ns;
-    }
-    return best;
-  };
-  const double snapshot_pass_ns =
-      time_loop(50, [&] { (void)library.snapshot_all(entries, values); });
-  const double snapshot_per_set_ns = snapshot_pass_ns / kRanks;
-  const double encode_per_set_ns = time_loop(50, encode) / kRanks;
-  // Pre-encoded buffer: the decode side alone.
-  const double ingest_pass_ns =
-      time_loop(50, [&] { (void)collector.ingest(wire); });
-  const double ingest_per_set_ns = ingest_pass_ns / kRanks;
-  const double reduce_ns =
-      time_loop(50, [&] { collector.reduce(library.real_cycles()); });
-
   const aggregate::ClusterReduction& red = collector.reduce(
       library.real_cycles());
   region.publish(red);
 
   std::printf("population: %d ranks (1 live, %d stopped), %u metrics, "
-              "fan-in 32\n\n", kRanks, kRanks - 1, kMetrics);
-  std::printf("full poll (snapshot+encode+ingest+reduce+publish): "
-              "%.0f ns (%.1f ns/rank)\n", best_poll_ns,
-              best_poll_ns / kRanks);
-  std::printf("snapshot_all: %.1f ns/set   encode: %.1f ns/set   "
-              "ingest: %.1f ns/set (%.2fx snapshot)\n",
-              snapshot_per_set_ns, encode_per_set_ns, ingest_per_set_ns,
-              ingest_per_set_ns / snapshot_per_set_ns);
-  std::printf("reduce over %d ranks: %.0f ns   allocs per measured poll: "
-              "%.3f\n", kRanks, reduce_ns,
-              static_cast<double>(poll_allocs) / (kReps * kPollsPerRep));
-  std::printf("wire bytes per poll: %zu (%.1f per rank)\n", wire.size(),
-              static_cast<double>(wire.size()) / kRanks);
-
-  bool ok = true;
+              "fan-in %u\n", kRanks, kRanks - 1, kMetrics, kFanIn);
+  bench::Results results("aggregation");
+  const double snapshot_per_rank = snapshot.median() / kRanks;
+  const double ingest_per_rank = ingest.median() / kRanks;
+  results.row("aggregate", "poll_1024", "poll_ns", poll.median(), "ns");
+  results.row("aggregate", "poll_1024", "poll_ns_per_rank",
+              poll.median() / kRanks, "ns");
+  results.row("core.library", "poll_1024", "snapshot_ns_per_rank",
+              snapshot_per_rank, "ns");
+  results.row("aggregate.wire", "poll_1024", "encode_ns_per_rank",
+              encoding.median() / kRanks, "ns");
+  results.row("aggregate.collector", "poll_1024", "ingest_ns_per_rank",
+              ingest_per_rank, "ns");
+  results.row("aggregate.collector", "poll_1024", "ingest_vs_snapshot",
+              ingest_per_rank / snapshot_per_rank, "ratio");
+  results.row("aggregate.collector", "poll_1024", "reduce_ns",
+              reduce.median(), "ns");
+  results.row("aggregate.wire", "poll_1024", "wire_bytes_per_poll",
+              wire.size(), "bytes");
+  results.row("aggregate.wire", "poll_1024", "wire_bytes_per_rank",
+              static_cast<double>(wire.size()) / kRanks, "bytes");
+  results.row("aggregate", "poll_1024", "allocs_per_poll",
+              poll.allocs_per_call(), "count");
 
   // Gate 1: oracle match.
+  int mismatches = 0;
   for (std::uint32_t m = 0; m < kMetrics; ++m) {
     const aggregate::MetricStats& ms = red.metrics[m];
     if (ms.count != kRanks || ms.min != oracle.min[m] ||
         ms.max != oracle.max[m] || ms.sum != oracle.sum[m] ||
         ms.avg != oracle.avg[m]) {
-      std::printf("GATE FAIL: metric %u min/max/sum/avg "
-                  "(%lld/%lld/%lld/%.2f over %llu) vs oracle "
-                  "(%lld/%lld/%lld/%.2f)\n",
+      std::printf("metric %u min/max/sum/avg (%lld/%lld/%lld/%.2f over "
+                  "%llu) vs oracle (%lld/%lld/%lld/%.2f)\n",
                   m, ms.min, ms.max, ms.sum, ms.avg,
                   static_cast<unsigned long long>(ms.count),
                   oracle.min[m], oracle.max[m], oracle.sum[m],
                   oracle.avg[m]);
-      ok = false;
+      ++mismatches;
     }
     const struct {
       const char* name;
@@ -309,80 +223,29 @@ int main() {
               {"p99", ms.p99, oracle.p99[m]}};
     for (const auto& q : qs) {
       if (!within_histogram_error(q.got, q.exact)) {
-        std::printf("GATE FAIL: metric %u %s %llu outside 12.5%% of "
-                    "oracle %llu\n", m, q.name,
-                    static_cast<unsigned long long>(q.got),
+        std::printf("metric %u %s %llu outside 12.5%% of oracle %llu\n", m,
+                    q.name, static_cast<unsigned long long>(q.got),
                     static_cast<unsigned long long>(q.exact));
-        ok = false;
+        ++mismatches;
       }
     }
   }
-
+  results.gate("AG1 oracle mismatches", mismatches, 0);
   // Gate 2: zero allocations in steady state.
-  if (poll_allocs != 0) {
-    std::printf("GATE FAIL: %llu heap allocations across %d measured "
-                "polls (must be 0)\n",
-                static_cast<unsigned long long>(poll_allocs),
-                kReps * kPollsPerRep);
-    ok = false;
-  }
-
+  results.gate("AG1 poll allocs", poll.allocs_per_call(), 0);
   // Gate 3: ingest within 2x the snapshot per-set cost.
-  if (ingest_per_set_ns > 2.0 * snapshot_per_set_ns) {
-    std::printf("GATE FAIL: ingest %.1f ns/set exceeds 2x "
-                "snapshot_all %.1f ns/set\n", ingest_per_set_ns,
-                snapshot_per_set_ns);
-    ok = false;
-  }
-
+  results.gate("AG1 ingest ns/rank", ingest_per_rank, 2.0 * snapshot_per_rank);
   // Gate 4: the counting side was never stopped by the collector.
-  if (stops_delta != 0) {
-    std::printf("GATE FAIL: %llu stop() calls during aggregation "
-                "(counting threads must never be stopped)\n",
-                static_cast<unsigned long long>(stops_delta));
-    ok = false;
-  }
-
+  results.gate("AG1 stop() calls", stops_delta, 0);
   // Gate 5: the region round-trips the final reduction.
   aggregate::RegionSnapshot snap;
-  if (!region.read_into(snap) ||
-      snap.reduce_count != red.reduce_count ||
-      snap.ranks_live != red.ranks_live ||
-      snap.metrics[0].sum != red.metrics[0].sum ||
-      snap.metrics[1].max != red.metrics[1].max) {
-    std::printf("GATE FAIL: seqlock region does not round-trip the "
-                "final reduction\n");
-    ok = false;
-  }
-
-  std::FILE* f = std::fopen("BENCH_aggregation.json", "w");
-  if (f != nullptr) {
-    std::fprintf(
-        f,
-        "{\n  \"bench\": \"aggregation\",\n  \"ranks\": %d,\n"
-        "  \"metrics\": %u,\n  \"clock\": \"thread_cpu_min_of_%d\",\n"
-        "  \"poll_ns\": %.0f,\n  \"poll_ns_per_rank\": %.1f,\n"
-        "  \"snapshot_per_set_ns\": %.1f,\n"
-        "  \"encode_per_set_ns\": %.1f,\n"
-        "  \"ingest_per_set_ns\": %.1f,\n"
-        "  \"ingest_vs_snapshot_ratio\": %.2f,\n"
-        "  \"reduce_ns\": %.0f,\n  \"wire_bytes_per_rank\": %.1f,\n"
-        "  \"allocs_per_poll\": %.3f,\n  \"stops_during_bench\": %llu,\n"
-        "  \"gates_ok\": %s\n}\n",
-        kRanks, kMetrics, kReps, best_poll_ns, best_poll_ns / kRanks,
-        snapshot_per_set_ns, encode_per_set_ns, ingest_per_set_ns,
-        ingest_per_set_ns / snapshot_per_set_ns, reduce_ns,
-        static_cast<double>(wire.size()) / kRanks,
-        static_cast<double>(poll_allocs) / (kReps * kPollsPerRep),
-        static_cast<unsigned long long>(stops_delta),
-        ok ? "true" : "false");
-    std::fclose(f);
-  }
-
-  if (ok) {
-    std::printf("\ngates: oracle exact, 0 allocs, ingest %.2fx snapshot "
-                "(<= 2x), 0 stops, region intact — OK\n",
-                ingest_per_set_ns / snapshot_per_set_ns);
-  }
-  return ok ? 0 : 1;
+  const bool intact = region.read_into(snap) &&
+                      snap.reduce_count == red.reduce_count &&
+                      snap.ranks_live == red.ranks_live &&
+                      snap.metrics[0].sum == red.metrics[0].sum &&
+                      snap.metrics[1].max == red.metrics[1].max;
+  results.gate("AG1 region round-trip failures", intact ? 0 : 1, 0);
+  // Gate 6: every frame accepted.
+  results.gate("AG1 frames rejected", frames_rejected, 0);
+  return results.finish();
 }

@@ -7,6 +7,7 @@
 // probe-on-next-op recovery back to Healthy.  Fault schedules come from
 // the deterministic FaultInjectingSubstrate, so every transition in
 // these tests happens at an exact operation number.
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -21,6 +22,7 @@
 namespace papirepro::papi {
 namespace {
 
+using papirepro::test::AllocationGuard;
 using papirepro::test::FaultFixture;
 using papirepro::test::SimFixture;
 
@@ -293,6 +295,36 @@ struct FaultyMemFixture {
   }
   Library& library() { return *sim.library; }
 };
+
+TEST(HealthFailFast, QuarantinedReadExMakesNoAllocations) {
+  FaultPlan plan;
+  plan.at(FaultSite::kRead).fail_times = 1 << 20;  // mem hard down
+  FaultyMemFixture f(8'000, plan);
+  HealthPolicy p;
+  p.max_consecutive_exhaustions = 1;
+  p.probe_cooldown_usec = 1'000'000'000'000ULL;  // never re-probe
+  p.probe_cooldown_max_usec = p.probe_cooldown_usec;
+  ASSERT_TRUE(f.library().set_health_policy(p).ok());
+
+  EventSet& set = f.sim.new_set();
+  ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
+  ASSERT_TRUE(set.add_named("mem::BANDWIDTH_RD").ok());
+  ASSERT_TRUE(set.start().ok());
+  std::vector<long long> v(2, 0);
+  std::vector<std::uint32_t> flags(2, 0);
+  // One exhausted read trips the breaker.
+  ASSERT_TRUE(set.read_ex(v, flags).ok());
+  ASSERT_EQ(f.library().component_health(f.mem_id).value().state,
+            HealthState::kQuarantined);
+
+  int failed = 0;
+  AllocationGuard guard;
+  for (int i = 0; i < 1000; ++i) failed += !set.read_ex(v, flags).ok();
+  EXPECT_EQ(guard.delta(), 0u);
+  EXPECT_EQ(failed, 0);
+  EXPECT_EQ(flags[0], read_flag::kValid);
+  EXPECT_EQ(flags[1], read_flag::kStale | read_flag::kQuarantined);
+}
 
 TEST(HealthRecovery, SpanningSetReadsThroughOutageAndSelfHeals) {
   FaultPlan plan;
