@@ -6,6 +6,13 @@
 #include "core/telemetry.h"
 
 namespace papirepro::papi {
+namespace {
+
+/// Max records drained from one ring per sweep before the aggregator
+/// moves on (keeps one noisy ring from starving the others).
+constexpr std::size_t kBatchLimit = 256;
+
+}  // namespace
 
 SamplingAggregator::~SamplingAggregator() {
   {
@@ -21,7 +28,6 @@ void SamplingAggregator::configure(const SamplingConfig& config) {
     const std::lock_guard<std::recursive_mutex> lock(mutex_);
     config_ = config;
     if (config_.ring_capacity == 0) config_.ring_capacity = 1024;
-    if (config_.batch_limit == 0) config_.batch_limit = 256;
     if (config_.poll_interval_us == 0) config_.poll_interval_us = 100;
   }
   cv_.notify_all();
@@ -104,7 +110,7 @@ void SamplingAggregator::run() {
       if (sources_[i].dead) continue;
       const std::size_t before = sources_[i].ring->size();
       if (before == 0) continue;
-      drain_locked(sources_[i], config_.batch_limit);
+      drain_locked(sources_[i], kBatchLimit);
       drained_any = true;
     }
     sweeping_ = false;

@@ -47,9 +47,6 @@ struct SampleRecord {
 struct SamplingConfig {
   bool async = false;
   std::size_t ring_capacity = 1024;
-  /// Max records drained from one ring per sweep before the aggregator
-  /// moves on (keeps one noisy ring from starving the others).
-  std::size_t batch_limit = 256;
   /// Aggregator wake-up cadence between explicit kicks.
   std::uint64_t poll_interval_us = 100;
 };

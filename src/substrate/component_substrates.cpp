@@ -1,6 +1,6 @@
 #include "substrate/component_substrates.h"
 
-#include "sim/memory.h"
+#include "substrate/sim_substrate.h"
 
 namespace papirepro::papi {
 
@@ -76,13 +76,7 @@ namespace {
 
 // --- mem component ------------------------------------------------------
 
-struct NamedCode {
-  pmu::NativeEventCode code;
-  std::string_view name;
-  std::string_view description;
-};
-
-constexpr NamedCode kMemEvents[] = {
+constexpr TableEvent kMemEvents[] = {
     {mem_events::kBandwidthRd, "BANDWIDTH_RD",
      "Bytes read from memory (L2 fills x line size)"},
     {mem_events::kL2Traffic, "L2_TRAFFIC",
@@ -95,7 +89,12 @@ constexpr NamedCode kMemEvents[] = {
      "Resident bytes (pages touched x page size)"},
 };
 
-constexpr NamedCode kNetEvents[] = {
+constexpr TablePreset kMemPresets[] = {
+    {Preset::kL2Tca, mem_events::kL2Accesses},
+    {Preset::kL2Tcm, mem_events::kL2Misses},
+};
+
+constexpr TableEvent kNetEvents[] = {
     {net_events::kMsgSent, "MSG_SENT", "Messages sent by this rank"},
     {net_events::kMsgRecv, "MSG_RECV", "Messages received by this rank"},
     {net_events::kWordsSent, "WORDS_SENT", "Payload words sent"},
@@ -105,46 +104,18 @@ constexpr NamedCode kNetEvents[] = {
      "Receive busy-wait probe retries"},
 };
 
-const NamedCode* find_code(std::span<const NamedCode> table,
-                           pmu::NativeEventCode code) noexcept {
-  for (const NamedCode& entry : table) {
-    if (entry.code == code) return &entry;
-  }
-  return nullptr;
-}
+constexpr TablePreset kNetPresets[] = {
+    {Preset::kMsgSnt, net_events::kMsgSent},
+    {Preset::kMsgRcv, net_events::kMsgRecv},
+};
 
-const NamedCode* find_name(std::span<const NamedCode> table,
-                           std::string_view name) noexcept {
-  for (const NamedCode& entry : table) {
-    if (entry.name == name) return &entry;
-  }
-  return nullptr;
-}
-
-// Mask-platform translation shared by both components: every event may
-// sit on any of the unit's counters.
-Result<AllocationInstance> translate_full_mask(
-    std::span<const NamedCode> table, std::uint32_t num_counters,
-    std::span<const pmu::NativeEventCode> events,
-    std::span<const int> priorities) {
-  AllocationInstance instance;
-  instance.num_counters = num_counters;
-  instance.allowed.reserve(events.size());
-  instance.priority.reserve(events.size());
-  const std::uint64_t full_mask = (1ULL << num_counters) - 1;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    if (find_code(table, events[i]) == nullptr) return Error::kNoEvent;
-    instance.allowed.push_back(full_mask);
-    instance.priority.push_back(i < priorities.size() ? priorities[i]
-                                                      : 0);
-  }
-  return instance;
-}
+/// Both components expose four counters.
+constexpr std::uint32_t kComponentCounters = 4;
 
 class MemBandwidthContext final : public DeltaCounterContext {
  public:
-  MemBandwidthContext(std::uint32_t num_counters, sim::Machine& machine)
-      : DeltaCounterContext(num_counters), machine_(machine) {}
+  MemBandwidthContext(const TableSubstrate& table, sim::Machine& machine)
+      : DeltaCounterContext(table), machine_(machine) {}
 
   std::uint64_t cycles() const override { return machine_.cycles(); }
 
@@ -170,9 +141,6 @@ class MemBandwidthContext final : public DeltaCounterContext {
         return 0;
     }
   }
-  bool valid_code(pmu::NativeEventCode code) const noexcept override {
-    return find_code(kMemEvents, code) != nullptr;
-  }
 
  private:
   sim::Machine& machine_;
@@ -180,9 +148,9 @@ class MemBandwidthContext final : public DeltaCounterContext {
 
 class NetworkContext final : public DeltaCounterContext {
  public:
-  NetworkContext(std::uint32_t num_counters, const sim::CommWorld& world,
+  NetworkContext(const TableSubstrate& table, const sim::CommWorld& world,
                  std::size_t rank)
-      : DeltaCounterContext(num_counters), world_(world), rank_(rank) {}
+      : DeltaCounterContext(table), world_(world), rank_(rank) {}
 
   std::uint64_t cycles() const override {
     return world_.rank_machine(rank_).cycles();
@@ -208,9 +176,6 @@ class NetworkContext final : public DeltaCounterContext {
         return 0;
     }
   }
-  bool valid_code(pmu::NativeEventCode code) const noexcept override {
-    return find_code(kNetEvents, code) != nullptr;
-  }
 
  private:
   const sim::CommWorld& world_;
@@ -221,152 +186,30 @@ class NetworkContext final : public DeltaCounterContext {
 
 // --- MemBandwidthSubstrate ----------------------------------------------
 
+MemBandwidthSubstrate::MemBandwidthSubstrate(sim::Machine& primary)
+    : TableSubstrate(kMemEvents, kMemPresets, kComponentCounters),
+      machines_(&primary) {}
+
 Result<std::unique_ptr<CounterContext>>
 MemBandwidthSubstrate::create_context() {
   return std::unique_ptr<CounterContext>(std::make_unique<
-      MemBandwidthContext>(num_counters(), machine_for_current_thread()));
-}
-
-void MemBandwidthSubstrate::bind_thread_machine(sim::Machine& machine) {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
-  thread_machines_[std::this_thread::get_id()] = &machine;
-}
-
-void MemBandwidthSubstrate::unbind_thread_machine() {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
-  thread_machines_.erase(std::this_thread::get_id());
-}
-
-sim::Machine& MemBandwidthSubstrate::machine_for_current_thread() const {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
-  const auto it = thread_machines_.find(std::this_thread::get_id());
-  return it != thread_machines_.end() ? *it->second : machine_;
-}
-
-Result<PresetMapping> MemBandwidthSubstrate::preset_mapping(
-    Preset preset) const {
-  PresetMapping mapping;
-  mapping.preset = preset;
-  switch (preset) {
-    case Preset::kL2Tca:
-      mapping.terms = {{mem_events::kL2Accesses, 1}};
-      return mapping;
-    case Preset::kL2Tcm:
-      mapping.terms = {{mem_events::kL2Misses, 1}};
-      return mapping;
-    default:
-      return Error::kNoEvent;
-  }
-}
-
-Result<pmu::NativeEventCode> MemBandwidthSubstrate::native_by_name(
-    std::string_view event_name) const {
-  const NamedCode* entry = find_name(kMemEvents, event_name);
-  if (entry == nullptr) return Error::kNoEvent;
-  return entry->code;
-}
-
-Result<std::string> MemBandwidthSubstrate::native_name(
-    pmu::NativeEventCode code) const {
-  const NamedCode* entry = find_code(kMemEvents, code);
-  if (entry == nullptr) return Error::kNoEvent;
-  return std::string(entry->name);
-}
-
-Result<std::string> MemBandwidthSubstrate::native_description(
-    pmu::NativeEventCode code) const {
-  const NamedCode* entry = find_code(kMemEvents, code);
-  if (entry == nullptr) return Error::kNoEvent;
-  return std::string(entry->description);
-}
-
-Result<AllocationInstance> MemBandwidthSubstrate::translate_allocation(
-    std::span<const pmu::NativeEventCode> events,
-    std::span<const int> priorities) const {
-  return translate_full_mask(kMemEvents, num_counters(), events,
-                             priorities);
+      MemBandwidthContext>(*this, machine_for_current_thread()));
 }
 
 Result<MemoryInfo> MemBandwidthSubstrate::memory_info() const {
-  // Model the machine as a 1 GiB node: resident = pages ever touched.
-  constexpr std::uint64_t kNodeBytes = 1ULL << 30;
-  const sim::Machine& machine = machine_for_current_thread();
-  MemoryInfo info;
-  info.total_bytes = kNodeBytes;
-  info.process_resident_bytes = machine.memory().bytes_touched();
-  info.process_peak_bytes = info.process_resident_bytes;
-  info.available_bytes = kNodeBytes - info.process_resident_bytes;
-  info.page_size_bytes = sim::kPageSize;
-  info.page_faults = machine.memory().pages_touched();
-  return info;
+  return machine_memory_info(machine_for_current_thread());
 }
 
 // --- NetworkSubstrate ---------------------------------------------------
 
+NetworkSubstrate::NetworkSubstrate(sim::CommWorld& world)
+    : TableSubstrate(kNetEvents, kNetPresets, kComponentCounters),
+      world_(world) {}
+
 Result<std::unique_ptr<CounterContext>>
 NetworkSubstrate::create_context() {
   return std::unique_ptr<CounterContext>(std::make_unique<NetworkContext>(
-      num_counters(), world_, rank_for_current_thread()));
-}
-
-void NetworkSubstrate::bind_thread_rank(std::size_t rank) {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
-  thread_ranks_[std::this_thread::get_id()] = rank;
-}
-
-void NetworkSubstrate::unbind_thread_rank() {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
-  thread_ranks_.erase(std::this_thread::get_id());
-}
-
-std::size_t NetworkSubstrate::rank_for_current_thread() const {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
-  const auto it = thread_ranks_.find(std::this_thread::get_id());
-  return it != thread_ranks_.end() ? it->second : 0;
-}
-
-Result<PresetMapping> NetworkSubstrate::preset_mapping(
-    Preset preset) const {
-  PresetMapping mapping;
-  mapping.preset = preset;
-  switch (preset) {
-    case Preset::kMsgSnt:
-      mapping.terms = {{net_events::kMsgSent, 1}};
-      return mapping;
-    case Preset::kMsgRcv:
-      mapping.terms = {{net_events::kMsgRecv, 1}};
-      return mapping;
-    default:
-      return Error::kNoEvent;
-  }
-}
-
-Result<pmu::NativeEventCode> NetworkSubstrate::native_by_name(
-    std::string_view event_name) const {
-  const NamedCode* entry = find_name(kNetEvents, event_name);
-  if (entry == nullptr) return Error::kNoEvent;
-  return entry->code;
-}
-
-Result<std::string> NetworkSubstrate::native_name(
-    pmu::NativeEventCode code) const {
-  const NamedCode* entry = find_code(kNetEvents, code);
-  if (entry == nullptr) return Error::kNoEvent;
-  return std::string(entry->name);
-}
-
-Result<std::string> NetworkSubstrate::native_description(
-    pmu::NativeEventCode code) const {
-  const NamedCode* entry = find_code(kNetEvents, code);
-  if (entry == nullptr) return Error::kNoEvent;
-  return std::string(entry->description);
-}
-
-Result<AllocationInstance> NetworkSubstrate::translate_allocation(
-    std::span<const pmu::NativeEventCode> events,
-    std::span<const int> priorities) const {
-  return translate_full_mask(kNetEvents, num_counters(), events,
-                             priorities);
+      *this, world_, rank_for_current_thread()));
 }
 
 }  // namespace papirepro::papi

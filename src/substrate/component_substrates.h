@@ -22,14 +22,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/comm.h"
 #include "sim/machine.h"
-#include "substrate/substrate.h"
+#include "substrate/table_substrate.h"
+#include "substrate/thread_binding.h"
 
 namespace papirepro::papi {
 
@@ -57,15 +55,16 @@ inline constexpr pmu::NativeEventCode kWaitRetries = 0x06;
 }  // namespace net_events
 
 /// Shared shape of both component counter files: program a list of
-/// native codes, latch base samples at start(), report monotonic deltas
-/// on read(), freeze on stop().  Derived classes supply the source
-/// sample for one code.  Overflow interrupts are not supported (these
-/// units have no interrupt line — the wrong-component error path the
-/// portable layer must surface as kNoSupport).
+/// native codes from the substrate's table, latch base samples at
+/// start(), report monotonic deltas on read(), freeze on stop().  Derived
+/// classes supply the source sample for one code.  Overflow interrupts
+/// are not supported (these units have no interrupt line — the
+/// wrong-component error path the portable layer must surface as
+/// kNoSupport).
 class DeltaCounterContext : public CounterContext {
  public:
-  explicit DeltaCounterContext(std::uint32_t num_counters)
-      : num_counters_(num_counters) {}
+  explicit DeltaCounterContext(const TableSubstrate& table)
+      : table_(table), num_counters_(table.num_counters()) {}
 
   Status program(std::span<const pmu::NativeEventCode> events,
                  std::span<const std::uint32_t> assignment) override;
@@ -84,14 +83,20 @@ class DeltaCounterContext : public CounterContext {
  protected:
   /// Current value of the free-running source counter behind `code`.
   virtual std::uint64_t sample(pmu::NativeEventCode code) const = 0;
-  virtual bool valid_code(pmu::NativeEventCode code) const noexcept = 0;
 
  private:
-  std::uint32_t num_counters_;
+  bool valid_code(pmu::NativeEventCode code) const noexcept {
+    return table_.has_event(code);
+  }
+
+  const TableSubstrate& table_;
   // Reused across program() calls so reprogramming never reallocates.
   std::vector<pmu::NativeEventCode> events_;
   std::vector<std::uint64_t> base_;
   std::vector<std::uint64_t> frozen_;
+  // The two small members share one word, so the context carries no
+  // padding (a mem context is 104 bytes on LP64).
+  std::uint32_t num_counters_;
   bool running_ = false;
 };
 
@@ -99,30 +104,19 @@ class DeltaCounterContext : public CounterContext {
 /// hierarchy and page map.  Thread model mirrors SimSubstrate: threads
 /// driving their own machine bind it first; contexts attach to the
 /// calling thread's machine, falling back to the primary.
-class MemBandwidthSubstrate final : public Substrate {
+class MemBandwidthSubstrate final : public TableSubstrate {
  public:
-  explicit MemBandwidthSubstrate(sim::Machine& primary)
-      : machine_(primary) {}
+  explicit MemBandwidthSubstrate(sim::Machine& primary);
 
   std::string_view name() const noexcept override { return "sim-mem"; }
-  std::uint32_t num_counters() const noexcept override { return 4; }
 
   Result<std::unique_ptr<CounterContext>> create_context() override;
-  void bind_thread_machine(sim::Machine& machine);
-  void unbind_thread_machine();
-  sim::Machine& machine_for_current_thread() const;
+  void bind_thread_machine(sim::Machine& machine) { machines_.bind(&machine); }
+  void unbind_thread_machine() { machines_.unbind(); }
+  sim::Machine& machine_for_current_thread() const {
+    return *machines_.current();
+  }
 
-  Result<PresetMapping> preset_mapping(Preset preset) const override;
-  Result<pmu::NativeEventCode> native_by_name(
-      std::string_view event_name) const override;
-  Result<std::string> native_name(
-      pmu::NativeEventCode code) const override;
-  Result<std::string> native_description(
-      pmu::NativeEventCode code) const override;
-
-  Result<AllocationInstance> translate_allocation(
-      std::span<const pmu::NativeEventCode> events,
-      std::span<const int> priorities) const override;
   std::uint64_t allocation_generation() const noexcept override {
     return allocation_generation_.load(std::memory_order_relaxed);
   }
@@ -132,20 +126,16 @@ class MemBandwidthSubstrate final : public Substrate {
     allocation_generation_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::uint64_t real_usec() const override {
-    return machine_.microseconds();
-  }
-  std::uint64_t real_cycles() const override { return machine_.cycles(); }
-  std::uint64_t virt_usec() const override {
-    return machine_.microseconds();
-  }
+  std::uint64_t real_usec() const override { return primary().microseconds(); }
+  std::uint64_t real_cycles() const override { return primary().cycles(); }
+  std::uint64_t virt_usec() const override { return primary().microseconds(); }
 
   Result<MemoryInfo> memory_info() const override;
 
  private:
-  sim::Machine& machine_;  ///< primary (fallback) machine
-  mutable std::mutex threads_mutex_;
-  std::unordered_map<std::thread::id, sim::Machine*> thread_machines_;
+  const sim::Machine& primary() const noexcept { return *machines_.primary(); }
+
+  ThreadBinding<sim::Machine*> machines_;
   std::atomic<std::uint64_t> allocation_generation_{0};
 };
 
@@ -155,29 +145,16 @@ class MemBandwidthSubstrate final : public Substrate {
 /// back to rank 0.  RankStats entries are written only by the owning
 /// rank's thread, so a context must be used on the thread bound to its
 /// rank (the same single-writer contract as sim::Machine).
-class NetworkSubstrate final : public Substrate {
+class NetworkSubstrate final : public TableSubstrate {
  public:
-  explicit NetworkSubstrate(sim::CommWorld& world) : world_(world) {}
+  explicit NetworkSubstrate(sim::CommWorld& world);
 
   std::string_view name() const noexcept override { return "sim-net"; }
-  std::uint32_t num_counters() const noexcept override { return 4; }
 
   Result<std::unique_ptr<CounterContext>> create_context() override;
-  void bind_thread_rank(std::size_t rank);
-  void unbind_thread_rank();
-  std::size_t rank_for_current_thread() const;
-
-  Result<PresetMapping> preset_mapping(Preset preset) const override;
-  Result<pmu::NativeEventCode> native_by_name(
-      std::string_view event_name) const override;
-  Result<std::string> native_name(
-      pmu::NativeEventCode code) const override;
-  Result<std::string> native_description(
-      pmu::NativeEventCode code) const override;
-
-  Result<AllocationInstance> translate_allocation(
-      std::span<const pmu::NativeEventCode> events,
-      std::span<const int> priorities) const override;
+  void bind_thread_rank(std::size_t rank) { ranks_.bind(rank); }
+  void unbind_thread_rank() { ranks_.unbind(); }
+  std::size_t rank_for_current_thread() const { return ranks_.current(); }
 
   std::uint64_t real_usec() const override {
     return world_.rank_machine(0).microseconds();
@@ -195,8 +172,7 @@ class NetworkSubstrate final : public Substrate {
 
  private:
   sim::CommWorld& world_;
-  mutable std::mutex threads_mutex_;
-  std::unordered_map<std::thread::id, std::size_t> thread_ranks_;
+  ThreadBinding<std::size_t> ranks_{0};
 };
 
 }  // namespace papirepro::papi

@@ -15,7 +15,9 @@
 // fallback are all exercised against it (tests/core/
 // test_fault_hardening.cpp).  When disabled at runtime it is a pure
 // forwarder — one relaxed atomic load per call — so it can stay compiled
-// into tools and benchmarks (bench_fault_overhead.cpp measures the cost).
+// into tools and benchmarks.  bench_feature_cost's report-only rows
+// measure that cost on a 4-vCPU Xeon: +6.2–9.8 % on read() and
+// +4.3–6.4 % on stop+start.
 #pragma once
 
 #include <array>

@@ -21,6 +21,16 @@ std::uint64_t clock_ns(clockid_t id) {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
+std::uint64_t tsc() {
+#if defined(__x86_64__)
+  return __rdtsc();
+#else
+  // No cycle counter register: nanoseconds are the best monotonic
+  // fine-grain clock available.
+  return clock_ns(CLOCK_MONOTONIC);
+#endif
+}
+
 /// Parses "key:   value kB" lines from /proc files.
 std::uint64_t proc_kb(const char* path, std::string_view key) {
   std::ifstream in(path);
@@ -37,13 +47,7 @@ std::uint64_t proc_kb(const char* path, std::string_view key) {
 
 }  // namespace
 
-std::uint64_t NullCounterContext::cycles() const {
-#if defined(__x86_64__)
-  return __rdtsc();
-#else
-  return clock_ns(CLOCK_MONOTONIC);
-#endif
-}
+std::uint64_t NullCounterContext::cycles() const { return tsc(); }
 
 HostSubstrate::HostSubstrate() : epoch_ns_(clock_ns(CLOCK_MONOTONIC)) {}
 
@@ -73,15 +77,7 @@ std::uint64_t HostSubstrate::real_usec() const {
   return (clock_ns(CLOCK_MONOTONIC) - epoch_ns_) / 1000;
 }
 
-std::uint64_t HostSubstrate::real_cycles() const {
-#if defined(__x86_64__)
-  return __rdtsc();
-#else
-  // No cycle counter register: nanoseconds are the best monotonic
-  // fine-grain clock available.
-  return clock_ns(CLOCK_MONOTONIC);
-#endif
-}
+std::uint64_t HostSubstrate::real_cycles() const { return tsc(); }
 
 std::uint64_t HostSubstrate::virt_usec() const {
   return clock_ns(CLOCK_THREAD_CPUTIME_ID) / 1000;

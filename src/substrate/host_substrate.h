@@ -3,10 +3,11 @@
 // patch; this container has none), so contexts created here fail every
 // control call with Error::kNoCounters — but the portable timers and the
 // PAPI 3 memory utilization extensions are fully functional, backed by
-// clock_gettime, the TSC where available, getrusage, and /proc.  This
+// the POSIX clocks, the TSC where available, getrusage, and /proc.  This
 // mirrors how PAPI degraded gracefully on unpatched systems, and it is
 // what the timer benchmarks (E10) measure real nanosecond overheads
-// against.
+// against.  The perf_event substrate takes its timers and memory info
+// from here.
 #pragma once
 
 #include "substrate/substrate.h"

@@ -2,17 +2,11 @@
 
 #include <cerrno>
 #include <cstring>
-#include <ctime>
 
 #include <linux/perf_event.h>
 #include <sys/ioctl.h>
-#include <sys/resource.h>
 #include <sys/syscall.h>
 #include <unistd.h>
-
-#if defined(__x86_64__)
-#include <x86intrin.h>
-#endif
 
 namespace papirepro::papi {
 namespace {
@@ -29,36 +23,39 @@ constexpr std::uint32_t config_of(pmu::NativeEventCode code) {
   return code & 0xffff;
 }
 
-struct PerfEventDef {
-  pmu::NativeEventCode code;
-  const char* name;
+constexpr pmu::NativeEventCode hw(std::uint32_t config) {
+  return pack(PERF_TYPE_HARDWARE, config);
+}
+constexpr pmu::NativeEventCode sw(std::uint32_t config) {
+  return pack(PERF_TYPE_SOFTWARE, config);
+}
+
+constexpr TableEvent kPerfEvents[] = {
+    {hw(PERF_COUNT_HW_CPU_CYCLES), "PERF_COUNT_HW_CPU_CYCLES"},
+    {hw(PERF_COUNT_HW_INSTRUCTIONS), "PERF_COUNT_HW_INSTRUCTIONS"},
+    {hw(PERF_COUNT_HW_CACHE_REFERENCES), "PERF_COUNT_HW_CACHE_REFERENCES"},
+    {hw(PERF_COUNT_HW_CACHE_MISSES), "PERF_COUNT_HW_CACHE_MISSES"},
+    {hw(PERF_COUNT_HW_BRANCH_INSTRUCTIONS),
+     "PERF_COUNT_HW_BRANCH_INSTRUCTIONS"},
+    {hw(PERF_COUNT_HW_BRANCH_MISSES), "PERF_COUNT_HW_BRANCH_MISSES"},
+    {sw(PERF_COUNT_SW_TASK_CLOCK), "PERF_COUNT_SW_TASK_CLOCK"},
+    {sw(PERF_COUNT_SW_PAGE_FAULTS), "PERF_COUNT_SW_PAGE_FAULTS"},
+    {sw(PERF_COUNT_SW_CONTEXT_SWITCHES), "PERF_COUNT_SW_CONTEXT_SWITCHES"},
+    {sw(PERF_COUNT_SW_CPU_MIGRATIONS), "PERF_COUNT_SW_CPU_MIGRATIONS"},
+    {sw(PERF_COUNT_SW_PAGE_FAULTS_MIN), "PERF_COUNT_SW_PAGE_FAULTS_MIN"},
+    {sw(PERF_COUNT_SW_PAGE_FAULTS_MAJ), "PERF_COUNT_SW_PAGE_FAULTS_MAJ"},
 };
 
-constexpr PerfEventDef kPerfEvents[] = {
-    {pack(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES),
-     "PERF_COUNT_HW_CPU_CYCLES"},
-    {pack(PERF_TYPE_HARDWARE, PERF_COUNT_HW_INSTRUCTIONS),
-     "PERF_COUNT_HW_INSTRUCTIONS"},
-    {pack(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_REFERENCES),
-     "PERF_COUNT_HW_CACHE_REFERENCES"},
-    {pack(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CACHE_MISSES),
-     "PERF_COUNT_HW_CACHE_MISSES"},
-    {pack(PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_INSTRUCTIONS),
-     "PERF_COUNT_HW_BRANCH_INSTRUCTIONS"},
-    {pack(PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES),
-     "PERF_COUNT_HW_BRANCH_MISSES"},
-    {pack(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK),
-     "PERF_COUNT_SW_TASK_CLOCK"},
-    {pack(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_PAGE_FAULTS),
-     "PERF_COUNT_SW_PAGE_FAULTS"},
-    {pack(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_CONTEXT_SWITCHES),
-     "PERF_COUNT_SW_CONTEXT_SWITCHES"},
-    {pack(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_CPU_MIGRATIONS),
-     "PERF_COUNT_SW_CPU_MIGRATIONS"},
-    {pack(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_PAGE_FAULTS_MIN),
-     "PERF_COUNT_SW_PAGE_FAULTS_MIN"},
-    {pack(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_PAGE_FAULTS_MAJ),
-     "PERF_COUNT_SW_PAGE_FAULTS_MAJ"},
+constexpr TablePreset kPerfPresets[] = {
+    {Preset::kTotCyc, hw(PERF_COUNT_HW_CPU_CYCLES)},
+    {Preset::kTotIns, hw(PERF_COUNT_HW_INSTRUCTIONS)},
+    {Preset::kL2Tca, hw(PERF_COUNT_HW_CACHE_REFERENCES)},
+    {Preset::kL2Tcm, hw(PERF_COUNT_HW_CACHE_MISSES)},
+    {Preset::kBrIns, hw(PERF_COUNT_HW_BRANCH_INSTRUCTIONS)},
+    {Preset::kBrMsp, hw(PERF_COUNT_HW_BRANCH_MISSES)},
+    // Correctly-predicted branches: branches minus mispredictions.
+    {Preset::kBrPrc, hw(PERF_COUNT_HW_BRANCH_INSTRUCTIONS),
+     hw(PERF_COUNT_HW_BRANCH_MISSES), -1},
 };
 
 int open_event(pmu::NativeEventCode code, bool disabled) {
@@ -76,13 +73,6 @@ int open_event(pmu::NativeEventCode code, bool disabled) {
   // inherently bound to the thread that programs it.
   return static_cast<int>(
       syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0));
-}
-
-std::uint64_t clock_ns(clockid_t id) {
-  timespec ts{};
-  clock_gettime(id, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 }  // namespace
@@ -183,11 +173,7 @@ Status PerfCounterContext::reset_counts() {
 }
 
 std::uint64_t PerfCounterContext::cycles() const {
-#if defined(__x86_64__)
-  return __rdtsc();
-#else
-  return clock_ns(CLOCK_MONOTONIC);
-#endif
+  return substrate_.real_cycles();
 }
 
 // ---------------------------------------------------------------------------
@@ -195,17 +181,15 @@ std::uint64_t PerfCounterContext::cycles() const {
 // ---------------------------------------------------------------------------
 
 PerfEventSubstrate::PerfEventSubstrate()
-    : epoch_ns_(clock_ns(CLOCK_MONOTONIC)) {
+    : TableSubstrate(kPerfEvents, kPerfPresets, kMaxEvents) {
   // Probe: software events tell us perf exists at all; a hardware event
   // tells us whether paranoid/capabilities permit real counters.
-  int fd = open_event(pack(PERF_TYPE_SOFTWARE, PERF_COUNT_SW_TASK_CLOCK),
-                      /*disabled=*/true);
+  int fd = open_event(sw(PERF_COUNT_SW_TASK_CLOCK), /*disabled=*/true);
   if (fd >= 0) {
     available_ = true;
     close(fd);
   }
-  fd = open_event(pack(PERF_TYPE_HARDWARE, PERF_COUNT_HW_CPU_CYCLES),
-                  /*disabled=*/true);
+  fd = open_event(hw(PERF_COUNT_HW_CPU_CYCLES), /*disabled=*/true);
   if (fd >= 0) {
     hw_available_ = true;
     close(fd);
@@ -214,97 +198,6 @@ PerfEventSubstrate::PerfEventSubstrate()
 
 Result<std::unique_ptr<CounterContext>> PerfEventSubstrate::create_context() {
   return std::unique_ptr<CounterContext>(new PerfCounterContext(*this));
-}
-
-Result<PresetMapping> PerfEventSubstrate::preset_mapping(
-    Preset preset) const {
-  auto single = [&](std::uint32_t config) -> Result<PresetMapping> {
-    PresetMapping m;
-    m.preset = preset;
-    m.terms = {{pack(PERF_TYPE_HARDWARE, config), 1}};
-    return m;
-  };
-  switch (preset) {
-    case Preset::kTotCyc: return single(PERF_COUNT_HW_CPU_CYCLES);
-    case Preset::kTotIns: return single(PERF_COUNT_HW_INSTRUCTIONS);
-    case Preset::kL2Tca: return single(PERF_COUNT_HW_CACHE_REFERENCES);
-    case Preset::kL2Tcm: return single(PERF_COUNT_HW_CACHE_MISSES);
-    case Preset::kBrIns:
-      return single(PERF_COUNT_HW_BRANCH_INSTRUCTIONS);
-    case Preset::kBrMsp: return single(PERF_COUNT_HW_BRANCH_MISSES);
-    case Preset::kBrPrc: {
-      PresetMapping m;
-      m.preset = preset;
-      m.terms = {
-          {pack(PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_INSTRUCTIONS), 1},
-          {pack(PERF_TYPE_HARDWARE, PERF_COUNT_HW_BRANCH_MISSES), -1}};
-      return m;
-    }
-    default:
-      return Error::kNoEvent;
-  }
-}
-
-Result<pmu::NativeEventCode> PerfEventSubstrate::native_by_name(
-    std::string_view event_name) const {
-  for (const PerfEventDef& def : kPerfEvents) {
-    if (event_name == def.name) return def.code;
-  }
-  return Error::kNoEvent;
-}
-
-Result<std::string> PerfEventSubstrate::native_name(
-    pmu::NativeEventCode code) const {
-  for (const PerfEventDef& def : kPerfEvents) {
-    if (code == def.code) return std::string(def.name);
-  }
-  return Error::kNoEvent;
-}
-
-Result<AllocationInstance> PerfEventSubstrate::translate_allocation(
-    std::span<const pmu::NativeEventCode> events,
-    std::span<const int> priorities) const {
-  // The kernel schedules events onto physical counters itself (and
-  // multiplexes on conflict), so the bipartite instance is fully
-  // permissive.
-  AllocationInstance inst;
-  inst.num_counters = kMaxEvents;
-  inst.priority.assign(priorities.begin(), priorities.end());
-  for (const auto code : events) {
-    if (!native_name(code).ok()) return Error::kNoEvent;
-    inst.allowed.push_back((1u << kMaxEvents) - 1);
-  }
-  return inst;
-}
-
-std::uint64_t PerfEventSubstrate::real_usec() const {
-  return (clock_ns(CLOCK_MONOTONIC) - epoch_ns_) / 1000;
-}
-
-std::uint64_t PerfEventSubstrate::real_cycles() const {
-#if defined(__x86_64__)
-  return __rdtsc();
-#else
-  return clock_ns(CLOCK_MONOTONIC);
-#endif
-}
-
-std::uint64_t PerfEventSubstrate::virt_usec() const {
-  return clock_ns(CLOCK_THREAD_CPUTIME_ID) / 1000;
-}
-
-Result<MemoryInfo> PerfEventSubstrate::memory_info() const {
-  MemoryInfo info;
-  info.page_size_bytes = static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0) {
-    info.process_peak_bytes =
-        static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
-    info.process_resident_bytes = info.process_peak_bytes;
-    info.page_faults =
-        static_cast<std::uint64_t>(usage.ru_minflt + usage.ru_majflt);
-  }
-  return info;
 }
 
 }  // namespace papirepro::papi

@@ -22,7 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "substrate/substrate.h"
+#include "substrate/host_substrate.h"
+#include "substrate/table_substrate.h"
 
 namespace papirepro::papi {
 
@@ -59,7 +60,10 @@ class PerfCounterContext final : public CounterContext {
   std::vector<int> fds_;
 };
 
-class PerfEventSubstrate final : public Substrate {
+/// The perf events and presets are one flat table (the kernel schedules
+/// events onto counters itself, and multiplexes on conflict); timers and
+/// memory info are the host's.
+class PerfEventSubstrate final : public TableSubstrate {
  public:
   PerfEventSubstrate();
 
@@ -70,33 +74,22 @@ class PerfEventSubstrate final : public Substrate {
   bool hardware_available() const noexcept { return hw_available_; }
 
   std::string_view name() const noexcept override { return "perf_event"; }
-  std::uint32_t num_counters() const noexcept override {
-    return kMaxEvents;
-  }
 
   Result<std::unique_ptr<CounterContext>> create_context() override;
 
-  Result<PresetMapping> preset_mapping(Preset preset) const override;
-  Result<pmu::NativeEventCode> native_by_name(
-      std::string_view event_name) const override;
-  Result<std::string> native_name(
-      pmu::NativeEventCode code) const override;
-
-  Result<AllocationInstance> translate_allocation(
-      std::span<const pmu::NativeEventCode> events,
-      std::span<const int> priorities) const override;
-
-  std::uint64_t real_usec() const override;
-  std::uint64_t real_cycles() const override;
-  std::uint64_t virt_usec() const override;
-  Result<MemoryInfo> memory_info() const override;
+  std::uint64_t real_usec() const override { return host_.real_usec(); }
+  std::uint64_t real_cycles() const override { return host_.real_cycles(); }
+  std::uint64_t virt_usec() const override { return host_.virt_usec(); }
+  Result<MemoryInfo> memory_info() const override {
+    return host_.memory_info();
+  }
 
   static constexpr std::uint32_t kMaxEvents = 16;
 
  private:
+  HostSubstrate host_;
   bool available_ = false;
   bool hw_available_ = false;
-  std::uint64_t epoch_ns_ = 0;
 };
 
 }  // namespace papirepro::papi

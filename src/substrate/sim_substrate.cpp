@@ -7,6 +7,13 @@
 #include "substrate/preset_maps.h"
 
 namespace papirepro::papi {
+namespace {
+
+/// Seed of every ProfileMe sampling stream: fixed, so estimates repeat
+/// bit for bit from run to run.
+constexpr std::uint64_t kSampleSeed = 0x5eed5a3715ULL;
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // SimCounterContext
@@ -105,8 +112,7 @@ Status SimCounterContext::program(
     if (!reuse) {
       engine_ = std::make_unique<pmu::ProfileMeEngine>(
           machine_, tracked, substrate_.options().sample_period,
-          substrate_.options().sample_seed,
-          platform_.costs.sample_cost_cycles);
+          kSampleSeed, platform_.costs.sample_cost_cycles);
     }
   }
 
@@ -231,7 +237,7 @@ Status SimCounterContext::cancel_timer(int id) {
 SimSubstrate::SimSubstrate(sim::Machine& machine,
                            const pmu::PlatformDescription& platform,
                            const SimSubstrateOptions& options)
-    : machine_(machine), platform_(platform), options_(options) {}
+    : machines_(&machine), platform_(platform), options_(options) {}
 
 SimSubstrate::~SimSubstrate() = default;
 
@@ -240,29 +246,13 @@ Result<std::unique_ptr<CounterContext>> SimSubstrate::create_context() {
       new SimCounterContext(*this, machine_for_current_thread()));
 }
 
-void SimSubstrate::bind_thread_machine(sim::Machine& machine) {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
-  thread_machines_[std::this_thread::get_id()] = &machine;
-}
-
-void SimSubstrate::unbind_thread_machine() {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
-  thread_machines_.erase(std::this_thread::get_id());
-}
-
-sim::Machine& SimSubstrate::machine_for_current_thread() const {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
-  const auto it = thread_machines_.find(std::this_thread::get_id());
-  return it != thread_machines_.end() ? *it->second : machine_;
-}
-
 void SimSubstrate::register_context(SimCounterContext* context) {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
+  const std::lock_guard<std::mutex> lock(contexts_mutex_);
   live_contexts_[std::this_thread::get_id()].push_back(context);
 }
 
 void SimSubstrate::unregister_context(SimCounterContext* context) {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
+  const std::lock_guard<std::mutex> lock(contexts_mutex_);
   for (auto& [tid, contexts] : live_contexts_) {
     contexts.erase(
         std::remove(contexts.begin(), contexts.end(), context),
@@ -271,7 +261,7 @@ void SimSubstrate::unregister_context(SimCounterContext* context) {
 }
 
 const pmu::ProfileMeEngine* SimSubstrate::sampling_engine() const noexcept {
-  const std::lock_guard<std::mutex> lock(threads_mutex_);
+  const std::lock_guard<std::mutex> lock(contexts_mutex_);
   const auto it = live_contexts_.find(std::this_thread::get_id());
   if (it == live_contexts_.end()) return nullptr;
   for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
@@ -386,27 +376,27 @@ Status SimSubstrate::set_estimation(bool enabled) {
 Result<int> SimSubstrate::add_timer(std::uint64_t period_cycles,
                                     TimerCallback callback) {
   if (period_cycles == 0) return Error::kInvalid;
-  return machine_.add_cycle_timer(
+  return machine().add_cycle_timer(
       period_cycles, [cb = std::move(callback)](sim::Machine&) { cb(); });
 }
 
 Status SimSubstrate::cancel_timer(int id) {
-  machine_.cancel_timer(id);
+  machine().cancel_timer(id);
   return Error::kOk;
 }
 
-Result<MemoryInfo> SimSubstrate::memory_info() const {
+MemoryInfo machine_memory_info(const sim::Machine& machine) {
   constexpr std::uint64_t kNodeBytes = 1ULL << 30;  // 1 GiB node
   MemoryInfo info;
   info.total_bytes = kNodeBytes;
-  info.process_resident_bytes = machine_.memory().bytes_touched();
+  info.process_resident_bytes = machine.memory().bytes_touched();
   info.process_peak_bytes = info.process_resident_bytes;
   info.available_bytes =
       kNodeBytes > info.process_resident_bytes
           ? kNodeBytes - info.process_resident_bytes
           : 0;
   info.page_size_bytes = sim::kPageSize;
-  info.page_faults = machine_.memory().pages_touched();
+  info.page_faults = machine.memory().pages_touched();
   return info;
 }
 

@@ -26,17 +26,21 @@
 #include "pmu/pmu.h"
 #include "pmu/sampling.h"
 #include "substrate/substrate.h"
+#include "substrate/thread_binding.h"
 
 namespace papirepro::papi {
 
 struct SimSubstrateOptions {
   /// Mean instruction gap between ProfileMe samples.
   std::uint64_t sample_period = 512;
-  std::uint64_t sample_seed = 0x5eed5a3715ULL;
   /// When false, counter accesses are free — used by experiments that
   /// need overhead-less reference counts.
   bool charge_costs = true;
 };
+
+/// Memory info of a simulated node: 1 GiB, with resident bytes the pages
+/// `machine` ever touched.
+MemoryInfo machine_memory_info(const sim::Machine& machine);
 
 class SimSubstrate;
 
@@ -138,10 +142,12 @@ class SimSubstrate final : public Substrate {
   Result<std::unique_ptr<CounterContext>> create_context() override;
   /// Binds `machine` as the calling thread's counter domain: contexts
   /// created by this thread attach to it.  A thread may rebind.
-  void bind_thread_machine(sim::Machine& machine);
-  void unbind_thread_machine();
+  void bind_thread_machine(sim::Machine& machine) { machines_.bind(&machine); }
+  void unbind_thread_machine() { machines_.unbind(); }
   /// The machine create_context() would bind for the calling thread.
-  sim::Machine& machine_for_current_thread() const;
+  sim::Machine& machine_for_current_thread() const {
+    return *machines_.current();
+  }
 
   // --- event namespace ---
   Result<PresetMapping> preset_mapping(Preset preset) const override;
@@ -174,9 +180,9 @@ class SimSubstrate final : public Substrate {
   const pmu::ProfileMeEngine* sampling_engine() const noexcept;
 
   // --- timers (primary machine's clock) ---
-  std::uint64_t real_usec() const override { return machine_.microseconds(); }
-  std::uint64_t real_cycles() const override { return machine_.cycles(); }
-  std::uint64_t virt_usec() const override { return machine_.microseconds(); }
+  std::uint64_t real_usec() const override { return machine().microseconds(); }
+  std::uint64_t real_cycles() const override { return machine().cycles(); }
+  std::uint64_t virt_usec() const override { return machine().microseconds(); }
 
   bool supports_multiplex() const noexcept override { return true; }
   Result<int> add_timer(std::uint64_t period_cycles,
@@ -184,9 +190,11 @@ class SimSubstrate final : public Substrate {
   Status cancel_timer(int id) override;
 
   // --- memory ---
-  Result<MemoryInfo> memory_info() const override;
+  Result<MemoryInfo> memory_info() const override {
+    return machine_memory_info(machine());
+  }
 
-  sim::Machine& machine() noexcept { return machine_; }
+  sim::Machine& machine() const noexcept { return *machines_.primary(); }
   const SimSubstrateOptions& options() const noexcept { return options_; }
   const pmu::PlatformDescription& platform_description() const noexcept {
     return platform_;
@@ -197,15 +205,14 @@ class SimSubstrate final : public Substrate {
   void register_context(SimCounterContext* context);
   void unregister_context(SimCounterContext* context);
 
-  sim::Machine& machine_;
+  ThreadBinding<sim::Machine*> machines_;
   const pmu::PlatformDescription& platform_;
   SimSubstrateOptions options_;
   std::atomic<bool> estimation_{false};
   /// Bumped by set_estimation(): allocation outcomes depend on the mode.
   std::atomic<std::uint64_t> allocation_generation_{0};
 
-  mutable std::mutex threads_mutex_;
-  std::unordered_map<std::thread::id, sim::Machine*> thread_machines_;
+  mutable std::mutex contexts_mutex_;
   /// Live contexts per thread, in creation order (newest last).
   std::unordered_map<std::thread::id, std::vector<SimCounterContext*>>
       live_contexts_;

@@ -6,10 +6,18 @@
 #include "substrate/perf_event_substrate.h"
 
 #include <gtest/gtest.h>
+#include <linux/perf_event.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/library.h"
+#include "sim/comm.h"
+#include "substrate/component_substrates.h"
+#include "substrate/host_substrate.h"
+#include "test_util.h"
 
 namespace papirepro::papi {
 namespace {
@@ -21,17 +29,123 @@ pmu::NativeEventCode code_of(const PerfEventSubstrate& sub,
   return code.value();
 }
 
+/// Every (code, name) entry of one flat event table.
+struct EventTable {
+  const Substrate& substrate;
+  std::vector<std::pair<pmu::NativeEventCode, std::string_view>> entries;
+  bool described = false;  ///< entries carry a description
+};
+
+constexpr pmu::NativeEventCode perf_code(std::uint32_t type,
+                                         std::uint32_t config) {
+  return (type << 16) | config;
+}
+
+// Walks every entry of the flat-table substrates — perf_event and the mem
+// and net components — through the event namespace, the allocation
+// translation and the preset map.
 TEST(PerfEvent, NativeNameRoundTrip) {
-  PerfEventSubstrate sub;
-  for (const char* name :
-       {"PERF_COUNT_HW_CPU_CYCLES", "PERF_COUNT_SW_TASK_CLOCK",
-        "PERF_COUNT_SW_PAGE_FAULTS"}) {
-    auto code = sub.native_by_name(name);
-    ASSERT_TRUE(code.ok()) << name;
-    EXPECT_EQ(sub.native_name(code.value()).value(), name);
+  test::SimFixture fixture(sim::make_saxpy(100), pmu::sim_x86());
+  sim::CommWorld world({fixture.machine.get()});
+  const PerfEventSubstrate perf;
+  const MemBandwidthSubstrate mem(*fixture.machine);
+  const NetworkSubstrate net(world);
+  const auto hw = [](std::uint32_t config) {
+    return perf_code(PERF_TYPE_HARDWARE, config);
+  };
+  const auto sw = [](std::uint32_t config) {
+    return perf_code(PERF_TYPE_SOFTWARE, config);
+  };
+  const EventTable tables[] = {
+      {perf,
+       {{hw(PERF_COUNT_HW_CPU_CYCLES), "PERF_COUNT_HW_CPU_CYCLES"},
+        {hw(PERF_COUNT_HW_INSTRUCTIONS), "PERF_COUNT_HW_INSTRUCTIONS"},
+        {hw(PERF_COUNT_HW_CACHE_REFERENCES),
+         "PERF_COUNT_HW_CACHE_REFERENCES"},
+        {hw(PERF_COUNT_HW_CACHE_MISSES), "PERF_COUNT_HW_CACHE_MISSES"},
+        {hw(PERF_COUNT_HW_BRANCH_INSTRUCTIONS),
+         "PERF_COUNT_HW_BRANCH_INSTRUCTIONS"},
+        {hw(PERF_COUNT_HW_BRANCH_MISSES), "PERF_COUNT_HW_BRANCH_MISSES"},
+        {sw(PERF_COUNT_SW_TASK_CLOCK), "PERF_COUNT_SW_TASK_CLOCK"},
+        {sw(PERF_COUNT_SW_PAGE_FAULTS), "PERF_COUNT_SW_PAGE_FAULTS"},
+        {sw(PERF_COUNT_SW_CONTEXT_SWITCHES),
+         "PERF_COUNT_SW_CONTEXT_SWITCHES"},
+        {sw(PERF_COUNT_SW_CPU_MIGRATIONS), "PERF_COUNT_SW_CPU_MIGRATIONS"},
+        {sw(PERF_COUNT_SW_PAGE_FAULTS_MIN),
+         "PERF_COUNT_SW_PAGE_FAULTS_MIN"},
+        {sw(PERF_COUNT_SW_PAGE_FAULTS_MAJ),
+         "PERF_COUNT_SW_PAGE_FAULTS_MAJ"}},
+       /*described=*/false},
+      {mem,
+       {{mem_events::kBandwidthRd, "BANDWIDTH_RD"},
+        {mem_events::kL2Traffic, "L2_TRAFFIC"},
+        {mem_events::kL2Accesses, "L2_ACCESSES"},
+        {mem_events::kL2Misses, "L2_MISSES"},
+        {mem_events::kPagesTouched, "PAGES_TOUCHED"},
+        {mem_events::kResidentBytes, "RESIDENT_BYTES"}},
+       /*described=*/true},
+      {net,
+       {{net_events::kMsgSent, "MSG_SENT"},
+        {net_events::kMsgRecv, "MSG_RECV"},
+        {net_events::kWordsSent, "WORDS_SENT"},
+        {net_events::kWordsRecv, "WORDS_RECV"},
+        {net_events::kBytesSent, "BYTES_SENT"},
+        {net_events::kWaitRetries, "WAIT_RETRIES"}},
+       /*described=*/true},
+  };
+  constexpr pmu::NativeEventCode kUnknown = 0x7fff'0000;
+
+  for (const EventTable& table : tables) {
+    const Substrate& sub = table.substrate;
+    SCOPED_TRACE(std::string(sub.name()));
+    std::vector<pmu::NativeEventCode> codes;
+    for (const auto& [code, name] : table.entries) {
+      const auto by_name = sub.native_by_name(name);
+      ASSERT_TRUE(by_name.ok()) << name;
+      EXPECT_EQ(by_name.value(), code) << name;
+      const auto by_code = sub.native_name(code);
+      ASSERT_TRUE(by_code.ok()) << name;
+      EXPECT_EQ(by_code.value(), name);
+      const auto description = sub.native_description(code);
+      if (table.described) {
+        ASSERT_TRUE(description.ok()) << name;
+        EXPECT_FALSE(description.value().empty()) << name;
+      } else {
+        EXPECT_EQ(description.error(), Error::kNoEvent) << name;
+      }
+      codes.push_back(code);
+    }
+    EXPECT_EQ(sub.native_by_name("PERF_COUNT_HW_FOO").error(),
+              Error::kNoEvent);
+    EXPECT_EQ(sub.native_name(kUnknown).error(), Error::kNoEvent);
+    EXPECT_EQ(sub.native_description(kUnknown).error(), Error::kNoEvent);
+
+    // Every event may sit on any counter; one unknown code spoils the list.
+    const auto instance = sub.translate_allocation(codes, {});
+    ASSERT_TRUE(instance.ok());
+    EXPECT_EQ(instance.value().num_counters, sub.num_counters());
+    const auto full = static_cast<std::uint32_t>(
+        (1ULL << sub.num_counters()) - 1);
+    EXPECT_EQ(instance.value().allowed,
+              std::vector<std::uint32_t>(codes.size(), full));
+    std::vector<pmu::NativeEventCode> spoiled = codes;
+    spoiled.push_back(kUnknown);
+    EXPECT_EQ(sub.translate_allocation(spoiled, {}).error(),
+              Error::kNoEvent);
+
+    for (std::size_t p = 0; p < kNumPresets; ++p) {
+      const auto mapping = sub.preset_mapping(static_cast<Preset>(p));
+      if (!mapping.ok()) {
+        EXPECT_EQ(mapping.error(), Error::kNoEvent);
+        continue;
+      }
+      for (const MappingTerm& term : mapping.value().terms) {
+        EXPECT_NE(std::find(codes.begin(), codes.end(), term.native),
+                  codes.end())
+            << preset_name(static_cast<Preset>(p));
+      }
+    }
   }
-  EXPECT_EQ(sub.native_by_name("PERF_COUNT_HW_FOO").error(),
-            Error::kNoEvent);
 }
 
 TEST(PerfEvent, PresetMappings) {
@@ -149,6 +263,20 @@ TEST(PerfEvent, TimersAndMemoryInfo) {
   auto info = sub.memory_info();
   ASSERT_TRUE(info.ok());
   EXPECT_GT(info.value().process_peak_bytes, 0u);
+}
+
+// Memory info needs no perf permission: it is the host's /proc reading.
+TEST(PerfEvent, MemoryInfoIsTheHosts) {
+  const PerfEventSubstrate sub;
+  const HostSubstrate host;
+  const auto info = sub.memory_info();
+  const auto host_info = host.memory_info();
+  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE(host_info.ok());
+  EXPECT_GT(info.value().total_bytes, 0u);
+  EXPECT_EQ(info.value().total_bytes, host_info.value().total_bytes);
+  EXPECT_GT(info.value().available_bytes, 0u);
+  EXPECT_EQ(info.value().page_size_bytes, host_info.value().page_size_bytes);
 }
 
 }  // namespace
