@@ -89,8 +89,6 @@ bool within_histogram_error(std::uint64_t got, std::uint64_t exact) {
 }  // namespace
 
 int main() {
-  bench::header("AG1", "cluster aggregation over 1024 simulated ranks");
-
   // --- population: 1024 sets stopped at staggered machine times -----------
   bench::Rig rig(sim::make_empty_loop(1'000'000), pmu::sim_x86(),
                  {.charge_costs = false});
@@ -238,7 +236,7 @@ int main() {
   // Gate 4: the counting side was never stopped by the collector.
   results.gate("AG1 stop() calls", stops_delta, 0);
   // Gate 5: the region round-trips the final reduction.
-  aggregate::RegionSnapshot snap;
+  aggregate::ClusterReduction snap;
   const bool intact = region.read_into(snap) &&
                       snap.reduce_count == red.reduce_count &&
                       snap.ranks_live == red.ranks_live &&

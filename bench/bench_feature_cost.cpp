@@ -101,8 +101,6 @@ double pct_over(double base, double value) {
 }  // namespace
 
 int main() {
-  bench::header("FC1", "feature cost on the direct read: telemetry, "
-                       "tracing, health, fault decorator");
   std::printf("host ns and heap allocations per call after start() "
               "(sim-x86, cost charging off)\n");
   bench::Results results("feature_cost");

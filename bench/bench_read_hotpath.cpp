@@ -165,7 +165,6 @@ class ThreadedLibrary {
 }  // namespace
 
 int main() {
-  bench::header("RH1", "steady-state read()/accum() hot-path cost");
   std::printf("host ns and heap allocations per call after start() "
               "(sim-x86, cost charging off)\n");
   bench::Results results("read_hotpath");

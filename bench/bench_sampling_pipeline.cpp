@@ -136,8 +136,6 @@ bool histograms_converge(std::uint64_t* sync_total,
 }  // namespace
 
 int main() {
-  bench::header("SP1", "async sampling pipeline: overhead vs direct "
-                       "counting, histogram convergence");
   std::printf("saxpy(%lld) on sim-power3 (enqueue 320 cy, handler 3500 "
               "cy, read 1800 cy);\nprofil threshold %llu, direct reads "
               "every %llu cycles.\n",

@@ -1,8 +1,8 @@
-// Shared helpers for the experiment harness binaries.  Each bench binary
-// regenerates one paper artifact (figure or quantified claim) as a
-// printed table; EXPERIMENTS.md records paper-vs-measured per id.
+// Shared helpers of the bench binaries: bench_experiments (every
+// number EXPERIMENTS.md quotes) and the gated benches (RH1, FC1, SP1,
+// AG1).
 //
-// The gated benches time on the benchmark's own harness
+// All of them time on the benchmark's own harness
 // (perfbench/src/harness.cpp, linked as papirepro_bench_harness): its
 // steady_clock batches, calibration scaling, per-thread allocation
 // counter, context-switch check and Samples.  This header adds only the
@@ -67,14 +67,6 @@ struct Rig {
                      static_cast<double>(machine->cycles());
   }
 };
-
-inline void header(const char* id, const char* title) {
-  std::printf("\n==============================================================="
-              "=========\n");
-  std::printf("%s: %s\n", id, title);
-  std::printf("================================================================"
-              "========\n");
-}
 
 inline double rel_error(double measured, double expected) {
   if (expected == 0) return measured == 0 ? 0.0 : 1.0;

@@ -18,27 +18,8 @@ inline constexpr std::uint32_t kRegionMagic = 0x52534350u;  // "PCSR"
 /// Bumped whenever the cell layout below moves (2: SeqLock header).
 inline constexpr std::uint32_t kRegionVersion = 2;
 
-/// Plain copy of one metric row a reader extracts from the region.
-struct RegionMetric {
-  long long min = 0;
-  long long max = 0;
-  long long sum = 0;
-  double avg = 0.0;
-  std::uint64_t count = 0;
-  std::uint64_t p50 = 0;
-  std::uint64_t p95 = 0;
-  std::uint64_t p99 = 0;
-};
-
-/// Plain consistent snapshot read_into() fills for a reader.
-struct RegionSnapshot {
-  std::uint64_t reduce_count = 0;
-  std::uint64_t now_cycles = 0;
-  std::uint32_t ranks_live = 0;
-  std::uint32_t ranks_stale = 0;
-  std::uint32_t num_metrics = 0;
-  std::array<RegionMetric, kMaxMetrics> metrics{};
-};
+/// Alias for callers that name the type read_into() fills.
+using RegionSnapshot = ClusterReduction;
 
 class SharedSnapshotRegion {
  public:
@@ -85,7 +66,7 @@ class SharedSnapshotRegion {
   /// Copies the latest consistent snapshot into `out`.  Returns false
   /// when `max_attempts` seqlock brackets all raced the writer (`out`
   /// then holds a torn copy to discard) or the region header is invalid.
-  bool read_into(RegionSnapshot& out,
+  bool read_into(ClusterReduction& out,
                  int max_attempts = SeqLock::kReadAttempts) const noexcept {
     if (!valid()) return false;
     return lock_.read(
@@ -99,7 +80,7 @@ class SharedSnapshotRegion {
           out.num_metrics = m;
           for (std::uint32_t i = 0; i < m; ++i) {
             const MetricCells& c = metrics_[i];
-            RegionMetric& rm = out.metrics[i];
+            MetricStats& rm = out.metrics[i];
             rm.min = c.min.load(std::memory_order_relaxed);
             rm.max = c.max.load(std::memory_order_relaxed);
             rm.sum = c.sum.load(std::memory_order_relaxed);

@@ -84,6 +84,12 @@ bool encode_frame(std::uint32_t rank, std::uint64_t frame_cycles,
   // needs at most one maximal entry of room beyond.
   bound = std::min(bound, kMaxFrameBytes + kMaxEntryBytes);
   const std::size_t base = out.size();
+  // Grow geometrically: resize() alone would grow the capacity to exactly
+  // base + bound, so a caller refilling one buffer every poll would
+  // reallocate each time an earlier frame came out a byte longer.
+  if (out.capacity() < base + bound) {
+    out.reserve(std::max(base + bound, 2 * out.capacity()));
+  }
   out.resize(base + bound);
   std::uint8_t* const frame = out.data() + base;
   std::uint8_t* p = frame + 4;  // frame_len backpatched below

@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -648,6 +649,19 @@ papirepro::Result<papi::EventSet*> lookup(int event_set) {
   if (g().library == nullptr) return Error::kNoInit;
   return g().library->event_set(event_set);
 }
+
+/// Copies batched-read entries into the caller's C rows.
+void fill_entries(std::span<const papi::SnapshotEntry> in,
+                  PAPIrepro_snapshot_t* out) {
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    out[i].event_set = in[i].handle;
+    out[i].first_value = static_cast<int>(in[i].first_value);
+    out[i].num_values = static_cast<int>(in[i].num_values);
+    out[i].status = to_code(in[i].status);
+    out[i].flags = static_cast<int>(in[i].flags);
+    out[i].pub_cycles = static_cast<long long>(in[i].pub_cycles);
+  }
+}
 }  // namespace
 
 int PAPI_add_event(int event_set, int event_code) {
@@ -745,14 +759,7 @@ int PAPIrepro_read_many(const int* event_sets, int count, long long* values,
       {event_sets, static_cast<std::size_t>(count)},
       {values, static_cast<std::size_t>(values_capacity)}, scratch);
   if (!s.ok()) return to_code(s);
-  for (int i = 0; i < count; ++i) {
-    entries[i].event_set = scratch[i].handle;
-    entries[i].first_value = static_cast<int>(scratch[i].first_value);
-    entries[i].num_values = static_cast<int>(scratch[i].num_values);
-    entries[i].status = to_code(scratch[i].status);
-    entries[i].flags = static_cast<int>(scratch[i].flags);
-    entries[i].pub_cycles = static_cast<long long>(scratch[i].pub_cycles);
-  }
+  fill_entries(scratch, entries);
   return PAPI_OK;
 }
 
@@ -771,14 +778,7 @@ int PAPIrepro_snapshot_all(PAPIrepro_snapshot_t* entries, int max_entries,
       {values, static_cast<std::size_t>(values_capacity)}, &entries_used,
       nullptr);
   if (!s.ok()) return to_code(s);
-  for (std::size_t i = 0; i < entries_used; ++i) {
-    entries[i].event_set = scratch[i].handle;
-    entries[i].first_value = static_cast<int>(scratch[i].first_value);
-    entries[i].num_values = static_cast<int>(scratch[i].num_values);
-    entries[i].status = to_code(scratch[i].status);
-    entries[i].flags = static_cast<int>(scratch[i].flags);
-    entries[i].pub_cycles = static_cast<long long>(scratch[i].pub_cycles);
-  }
+  fill_entries({scratch.data(), entries_used}, entries);
   return static_cast<int>(entries_used);
 }
 
@@ -947,27 +947,9 @@ int PAPIrepro_collector_read(int collector,
   if (out == nullptr) return PAPI_EINVAL;
   auto state = find_collector(collector);
   if (state == nullptr) return PAPI_ENOEVST;
-  aggregate::RegionSnapshot snap;
+  aggregate::ClusterReduction snap;
   if (!state->region.read_into(snap)) return PAPI_ESYS;
-  out->now_cycles = static_cast<long long>(snap.now_cycles);
-  out->reduce_count = static_cast<long long>(snap.reduce_count);
-  out->ranks_live = static_cast<int>(snap.ranks_live);
-  out->ranks_stale = static_cast<int>(snap.ranks_stale);
-  out->num_metrics = static_cast<int>(snap.num_metrics);
-  for (std::uint32_t i = 0;
-       i < snap.num_metrics && i < PAPIREPRO_COLLECTOR_MAX_METRICS;
-       ++i) {
-    const aggregate::RegionMetric& m = snap.metrics[i];
-    PAPIrepro_metric_stats_t& o = out->metrics[i];
-    o.min = m.min;
-    o.max = m.max;
-    o.sum = m.sum;
-    o.avg = m.avg;
-    o.count = static_cast<long long>(m.count);
-    o.p50 = static_cast<long long>(m.p50);
-    o.p95 = static_cast<long long>(m.p95);
-    o.p99 = static_cast<long long>(m.p99);
-  }
+  fill_view(snap, *out);
   return PAPI_OK;
 }
 

@@ -41,7 +41,7 @@ struct PapicollectResult {
   aggregate::CollectorStats collector_stats;
   /// The final reduction as read back through the seqlock region — what
   /// an out-of-process poller would have seen.
-  aggregate::RegionSnapshot region;
+  aggregate::ClusterReduction region;
   /// Top ranks by metric 0 at the final reduction, descending.
   std::vector<aggregate::RankValue> top;
   std::uint32_t polls = 0;  ///< collector polling passes completed

@@ -399,7 +399,7 @@ TEST(AggregationRegion, SeqlockReaderNeverSeesTornViews) {
     }
   });
 
-  RegionSnapshot snap;
+  ClusterReduction snap;
   std::uint64_t last_round = 0;
   std::uint64_t successes = 0;
   while (last_round < kRounds) {
@@ -439,7 +439,7 @@ TEST(AggregationRegion, CollectorReductionSurvivesRegionRoundTrip) {
 
   SharedSnapshotRegion region;
   region.publish(red);
-  RegionSnapshot snap;
+  ClusterReduction snap;
   ASSERT_TRUE(region.read_into(snap));
   EXPECT_EQ(snap.reduce_count, red.reduce_count);
   EXPECT_EQ(snap.ranks_live, 8u);
@@ -449,6 +449,22 @@ TEST(AggregationRegion, CollectorReductionSurvivesRegionRoundTrip) {
   EXPECT_DOUBLE_EQ(snap.metrics[0].avg, 4.5);
   EXPECT_EQ(snap.metrics[1].min, 50);
   EXPECT_EQ(snap.metrics[1].max, 50);
+  // Every field of every metric survives the region.
+  EXPECT_EQ(snap.now_cycles, red.now_cycles);
+  EXPECT_EQ(snap.ranks_stale, red.ranks_stale);
+  ASSERT_EQ(snap.num_metrics, red.num_metrics);
+  for (std::uint32_t m = 0; m < red.num_metrics; ++m) {
+    const MetricStats& got = snap.metrics[m];
+    const MetricStats& want = red.metrics[m];
+    EXPECT_EQ(got.min, want.min) << "metric " << m;
+    EXPECT_EQ(got.max, want.max) << "metric " << m;
+    EXPECT_EQ(got.sum, want.sum) << "metric " << m;
+    EXPECT_EQ(got.avg, want.avg) << "metric " << m;
+    EXPECT_EQ(got.count, want.count) << "metric " << m;
+    EXPECT_EQ(got.p50, want.p50) << "metric " << m;
+    EXPECT_EQ(got.p95, want.p95) << "metric " << m;
+    EXPECT_EQ(got.p99, want.p99) << "metric " << m;
+  }
 }
 
 }  // namespace

@@ -11,11 +11,13 @@
 #include <cstdint>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "aggregate/wire.h"
 #include "common/rng.h"
 #include "core/eventset.h"
+#include "test_util.h"
 
 namespace {
 
@@ -23,6 +25,7 @@ using namespace papirepro::aggregate;
 namespace papi = papirepro::papi;
 using papirepro::Error;
 using papirepro::Xoshiro256;
+using papirepro::test::AllocationGuard;
 
 /// One randomized rank snapshot: entries plus the shared value buffer,
 /// exercising every status/flag/value shape the library can publish.
@@ -500,6 +503,40 @@ TEST(AggregationWire, OverCapFrameRefusedWithoutOversizingOut) {
   EXPECT_EQ(buf[1], 0x02);
   EXPECT_EQ(buf[2], 0x03);
   EXPECT_LT(buf.capacity(), 4 * kMaxFrameBytes);
+}
+
+TEST(AggregationWire, SteadyStatePollsReuseTheBuffer) {
+  // A poll encodes 4 rank-run frames of 32 one-value entries into one
+  // buffer and clear()s it before the next.  Each poll below widens one
+  // more value across a varint boundary, so frame 0 grows by a byte and
+  // every later frame starts a byte further in; the buffer must absorb
+  // that without reallocating.
+  constexpr std::size_t kFrames = 4, kEntries = 32;
+  std::vector<papi::SnapshotEntry> entries(kEntries);
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    entries[i].handle = static_cast<int>(i);
+    entries[i].first_value = static_cast<std::uint32_t>(i);
+    entries[i].num_values = 1;
+  }
+  std::vector<long long> values(kFrames * kEntries, 5);
+  std::vector<std::uint8_t> buf;
+  const auto poll = [&] {
+    buf.clear();
+    for (std::size_t f = 0; f < kFrames; ++f) {
+      ASSERT_TRUE(encode_frame(
+          static_cast<std::uint32_t>(f), 1000, entries,
+          std::span<const long long>(values).subspan(f * kEntries, kEntries),
+          buf, kFrameModeRankRun));
+    }
+  };
+  poll();
+  AllocationGuard guard;
+  for (std::size_t i = 0; i < kEntries; ++i) {
+    values[i] = 1000;  // zigzag 2000: two varint bytes instead of one
+    poll();
+  }
+  EXPECT_EQ(guard.delta(), 0u)
+      << "a steady-state poll must reuse the buffer's capacity";
 }
 
 TEST(AggregationWire, RankRunFrameMatchesGoldenBytes) {

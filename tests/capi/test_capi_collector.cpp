@@ -85,11 +85,23 @@ TEST_F(AggregationCapi, SnapshotEncodeIngestReduceReadLoop) {
   // The seqlock region serves the same view to a polling reader.
   PAPIrepro_cluster_view_t polled = {};
   ASSERT_EQ(PAPIrepro_collector_read(c, &polled), PAPI_OK);
+  EXPECT_EQ(polled.now_cycles, reduced.now_cycles);
   EXPECT_EQ(polled.reduce_count, reduced.reduce_count);
-  EXPECT_EQ(polled.ranks_live, 1);
-  EXPECT_EQ(polled.metrics[0].min, reduced.metrics[0].min);
-  EXPECT_EQ(polled.metrics[1].sum, reduced.metrics[1].sum);
-  EXPECT_DOUBLE_EQ(polled.metrics[0].avg, reduced.metrics[0].avg);
+  EXPECT_EQ(polled.ranks_live, reduced.ranks_live);
+  EXPECT_EQ(polled.ranks_stale, reduced.ranks_stale);
+  ASSERT_EQ(polled.num_metrics, reduced.num_metrics);
+  for (int m = 0; m < reduced.num_metrics; ++m) {
+    const PAPIrepro_metric_stats_t& got = polled.metrics[m];
+    const PAPIrepro_metric_stats_t& want = reduced.metrics[m];
+    EXPECT_EQ(got.min, want.min) << "metric " << m;
+    EXPECT_EQ(got.max, want.max) << "metric " << m;
+    EXPECT_EQ(got.sum, want.sum) << "metric " << m;
+    EXPECT_EQ(got.avg, want.avg) << "metric " << m;
+    EXPECT_EQ(got.count, want.count) << "metric " << m;
+    EXPECT_EQ(got.p50, want.p50) << "metric " << m;
+    EXPECT_EQ(got.p95, want.p95) << "metric " << m;
+    EXPECT_EQ(got.p99, want.p99) << "metric " << m;
+  }
 
   // Collector activity lands in the library's self-telemetry.
   PAPIrepro_telemetry_t t = {};
