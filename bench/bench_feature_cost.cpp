@@ -23,9 +23,10 @@
 //        0 allocations per row.
 // The absolute slack keeps nanosecond jitter on a ~20 ns call from
 // tripping the relative budgets.  The decorator rows are report-only:
-// over 20 Release runs on an Intel Xeon with 4 vCPUs the disabled
-// decorator added 6.2-9.8 % to read() and 4.3-6.4 % to stop()+start(),
-// the injecting one 45-56 % and 16-18 %.
+// on an Intel Xeon with 4 vCPUs (Release) the disabled decorator added
+// 6.2-9.8 % to read() (20 runs) and 3.5-12.9 % to a ~110 ns
+// stop()+start() that does not reprogram (15 runs), the injecting one
+// 45-56 % and 28.5-34.9 %.
 #include <string>
 #include <vector>
 

@@ -68,6 +68,7 @@ Status EventSet::rebuild(
     native_components_ = candidate_components;
     slices_ = std::move(slices);
     rebuild_flat_terms();
+    refresh_program_id();
     // Membership changed: the stop() snapshot and the cross-thread
     // publication describe the old member list — drop both.
     stopped_raw_valid_ = false;
@@ -137,6 +138,7 @@ Status EventSet::rebuild(
   native_components_ = std::move(sorted_components);
   slices_ = std::move(slices);
   rebuild_flat_terms();
+  refresh_program_id();
   // Membership changed: the stop() snapshot and the cross-thread
   // publication describe the old member list — drop both.
   stopped_raw_valid_ = false;
@@ -168,6 +170,19 @@ void EventSet::rebuild_flat_terms() {
       }
     }
   }
+}
+
+void EventSet::refresh_program_id() noexcept {
+  program_id_ = library_.next_program_id();
+  program_generation_ = allocation_generation();
+}
+
+std::uint64_t EventSet::allocation_generation() const noexcept {
+  std::uint64_t sum = 0;
+  for (const ComponentSlice& slice : slices_) {
+    sum += slice.comp->substrate->allocation_generation();
+  }
+  return sum;
 }
 
 namespace {
@@ -300,10 +315,11 @@ Status EventSet::set_domain(std::uint32_t domain_mask) {
   if (running()) return Error::kIsRunning;
   if (!valid_domain(domain_mask)) return Error::kInvalid;
   domain_mask_ = domain_mask;
+  refresh_program_id();
   return Error::kOk;
 }
 
-Status EventSet::program_and_arm() {
+Status EventSet::program_and_arm(bool programmed) {
   const auto apply_domain = [this](CounterContext* context) -> Status {
     const Status s = context->set_domain(domain_mask_);
     if (!s.ok() && !(s.error() == Error::kNoSupport &&
@@ -322,14 +338,17 @@ Status EventSet::program_and_arm() {
     PAPIREPRO_RETURN_IF_ERROR(program_mux_group(0));
     return Error::kOk;
   }
-  // Program every component slice, ascending component order.
-  for (ComponentSlice& slice : slices_) {
-    attributed_component_ = slice.component;
-    PAPIREPRO_RETURN_IF_ERROR(apply_domain(slice.context));
-    PAPIREPRO_RETURN_IF_ERROR(slice.context->program(
-        std::span<const pmu::NativeEventCode>(natives_)
-            .subspan(slice.offset, slice.count),
-        slice.assignment));
+  // Program every component slice, ascending component order, unless
+  // the thread's contexts already hold exactly this programming.
+  if (!programmed) {
+    for (ComponentSlice& slice : slices_) {
+      attributed_component_ = slice.component;
+      PAPIREPRO_RETURN_IF_ERROR(apply_domain(slice.context));
+      PAPIREPRO_RETURN_IF_ERROR(slice.context->program(
+          std::span<const pmu::NativeEventCode>(natives_)
+              .subspan(slice.offset, slice.count),
+          slice.assignment));
+    }
   }
   attributed_component_ = 0;  // overflow arming is a CPU-core feature
   return arm_overflows();
@@ -483,15 +502,30 @@ Status EventSet::start() {
   // multiplexing; slices are never empty here (entries_ is not).
   context_ = slices_.front().context;
 
+  // A restart on the thread that last programmed this set, unchanged
+  // since, skips program(): real substrates program the kernel when a
+  // set changes and only enable counters at start.  A substrate whose
+  // allocation rules moved (sim estimation toggled) may now refuse the
+  // programming, so that draws a new id.  Multiplexed sets always
+  // program (rotation reprograms the context).  The tag is cleared
+  // until this start succeeds, so a failed start reprograms next time.
+  if (allocation_generation() != program_generation_) refresh_program_id();
+  const bool programmed = !multiplex_ && tstate.programmed == program_id_;
+  tstate.programmed = 0;
+
   // Delivery mode is latched per run from the library-wide sampling
-  // config; the ring is created before the (retryable) arming sequence
-  // and registered with the aggregator only once, after success.
-  const SamplingConfig sampling_config = library_.sampling().config();
-  async_active_ = sampling_config.async && !multiplex_ &&
-                  !overflow_configs_.empty();
-  if (async_active_) {
-    sample_ring_ = std::make_shared<SpscRing<SampleRecord>>(
-        sampling_config.ring_capacity);
+  // config (read only when the run can sample: it takes the
+  // aggregator's lock); the ring is created before the (retryable)
+  // arming sequence and registered with the aggregator only once, after
+  // success.
+  async_active_ = false;
+  if (!multiplex_ && !overflow_configs_.empty()) {
+    const SamplingConfig sampling_config = library_.sampling().config();
+    async_active_ = sampling_config.async;
+    if (async_active_) {
+      sample_ring_ = std::make_shared<SpscRing<SampleRecord>>(
+          sampling_config.ring_capacity);
+    }
   }
 
   auto abort_start = [this](Status status) {
@@ -509,7 +543,7 @@ Status EventSet::start() {
   // Slices start ascending by component; a mid-sequence failure unwinds
   // the already-started slices (descending) before the unit returns, so
   // a retry never observes a half-started fan-out.
-  const Status started = library_.run_with_retries([this]() -> Status {
+  const Status started = library_.run_with_retries([&]() -> Status {
     // Health gate first: a quarantined slice rejects the whole start
     // fast (kComponentQuarantined is not transient, so the retry loop
     // never sleeps in backoff on a dead component).
@@ -517,7 +551,7 @@ Status EventSet::start() {
       attributed_component_ = slice.component;
       PAPIREPRO_RETURN_IF_ERROR(library_.health_admit(slice.component));
     }
-    PAPIREPRO_RETURN_IF_ERROR(program_and_arm());
+    PAPIREPRO_RETURN_IF_ERROR(program_and_arm(programmed));
     for (ComponentSlice& slice : slices_) {
       attributed_component_ = slice.component;
       PAPIREPRO_RETURN_IF_ERROR(slice.context->reset_counts());
@@ -539,6 +573,7 @@ Status EventSet::start() {
   for (const ComponentSlice& slice : slices_) {
     library_.health_record(slice.component, Error::kOk);
   }
+  if (!multiplex_) tstate.programmed = program_id_;
   state_ = State::kRunning;
   degradations_ = 0;
   preallocate_scratch();
@@ -971,6 +1006,9 @@ Status EventSet::reset() {
 
 Status EventSet::stop(std::span<long long> out) {
   if (!running()) return Error::kNotRunning;
+  // Validate before stopping, as read() does: a short `out` must leave
+  // the set running with its values intact, not stopped with them lost.
+  if (!out.empty() && out.size() < entries_.size()) return Error::kInvalid;
 
   // Stop descending by component — the mirror image of start()'s
   // ascending order, so the snapshot window nests coherently.  Every
@@ -1027,7 +1065,6 @@ Status EventSet::stop(std::span<long long> out) {
   context_ = nullptr;
   for (ComponentSlice& slice : slices_) slice.context = nullptr;
   if (!out.empty()) {
-    if (out.size() < entries_.size()) return Error::kInvalid;
     std::copy(scratch_values_.begin(), scratch_values_.end(), out.begin());
   }
   return partial;

@@ -164,8 +164,14 @@ class EventSet {
   double overhead_ratio() const noexcept;
 
   // --- counting control ---
+  /// Starts counting on the calling thread.  A restart whose programming
+  /// the thread's counters still hold (events and domain unchanged, no
+  /// other set started there since) skips reprogramming them and only
+  /// re-arms, resets and enables them; multiplexed sets always program.
   Status start();
   /// Stops counting; if `out` is non-empty it receives the final values.
+  /// A non-empty `out` shorter than num_events() fails with kInvalid
+  /// before anything stops.
   Status stop(std::span<long long> out = {});
   Status read(std::span<long long> out);
   /// Partial-failure read for spanning sets: values from healthy
@@ -258,7 +264,15 @@ class EventSet {
   /// Regenerates flat_terms_/calc_ from entries_ — must follow every
   /// entries_ assignment (both rebuild() branches).
   void rebuild_flat_terms();
-  Status program_and_arm();
+  /// Draws a fresh program_id_ and latches the slices' allocation
+  /// generation: every change to what program() would load must call
+  /// it (both rebuild() branches, set_domain()).
+  void refresh_program_id() noexcept;
+  /// Sum of the slices' substrates' allocation_generation().
+  std::uint64_t allocation_generation() const noexcept;
+  /// Programs the contexts (unless `programmed`: the calling thread's
+  /// contexts already hold this set's program_id_) and arms overflows.
+  Status program_and_arm(bool programmed);
   /// Sizes every steady-state buffer (the raw snapshot, mux live-slice
   /// reads, the values accum()/stop() compute) so the running paths
   /// perform no heap allocation after start().
@@ -353,6 +367,13 @@ class EventSet {
   /// to: the start() fan-out runs as one retried unit, so the outcome
   /// must be attributed to the failing slice's breaker, not all of them.
   std::uint32_t attributed_component_ = 0;
+
+  /// Identifies this set's programming: membership, domain and
+  /// multiplex plan, plus program_generation_, the slices' allocation
+  /// generation when it was drawn.  start() skips program() on a thread
+  /// whose ThreadState::programmed equals it.
+  std::uint64_t program_id_ = 0;
+  std::uint64_t program_generation_ = 0;
 
   /// Self-overhead attribution: the context's overhead/clock marks
   /// latched at start(), folded into the lifetime totals at stop().

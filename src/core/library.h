@@ -323,6 +323,11 @@ class Library {
       ThreadRegistry::ThreadState& state, std::uint32_t component);
   /// Clears whichever thread's running slot holds `set`.
   void release_context(EventSet* set);
+  /// A fresh EventSet program id (see ThreadState::programmed): never
+  /// 0 and never reused, so a destroyed set's id cannot match a new one.
+  std::uint64_t next_program_id() noexcept {
+    return program_ids_.fetch_add(1, std::memory_order_relaxed);
+  }
   /// The calling thread's state, creating it if needed.  Steady state is
   /// a thread-local cache hit that never touches the registry lock;
   /// the slow path registers the thread and fills the cache.
@@ -390,6 +395,7 @@ class Library {
   const std::uint64_t instance_token_;
 
   ThreadRegistry threads_;
+  std::atomic<std::uint64_t> program_ids_{1};
   /// threaded() is an acquire load on the flag; the mutex only covers
   /// the registration slow path and reads of the function object.
   std::atomic<bool> has_id_fn_{false};

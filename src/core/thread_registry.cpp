@@ -90,6 +90,7 @@ Status ThreadRegistry::erase_current() {
   // touch the atomic fields, which stay valid.
   slot->context.reset();
   for (auto& ctx : slot->component_contexts) ctx.reset();
+  slot->programmed = 0;
   slot->numeric_id = 0;
   slot->key.store(0, std::memory_order_release);
   size_.fetch_sub(1, std::memory_order_relaxed);

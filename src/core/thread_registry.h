@@ -53,6 +53,11 @@ class ThreadRegistry {
     /// component id (slot 0 unused).  Touched only by the owning thread.
     std::array<std::unique_ptr<CounterContext>, kMaxComponents>
         component_contexts;
+    /// Program id of the EventSet whose programming these contexts
+    /// hold, so its restart can skip program(); 0 when unknown.
+    /// Touched only by the owning thread, and zeroed at erase so a
+    /// thread reusing the slot programs its fresh contexts.
+    std::uint64_t programmed = 0;
     std::atomic<EventSet*> running{nullptr};
     /// Epoch pin for batched readers: nonzero while this thread holds
     /// handle-table pointers inside read_many()/snapshot_all(); 0 when

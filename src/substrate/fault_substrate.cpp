@@ -38,7 +38,7 @@ class FaultInjectingContext final : public CounterContext {
   // The hot counter-control paths check the master switch once and
   // tail-call the inner context when injection is off, keeping the
   // disabled decorator to one relaxed load per call (bench_feature_cost
-  // measures +6.2–9.8 % on read() and +4.3–6.4 % on stop+start on a
+  // measures +6.2–9.8 % on read() and +3.5–12.9 % on stop+start on a
   // 4-vCPU Xeon).
   Status program(std::span<const pmu::NativeEventCode> events,
                  std::span<const std::uint32_t> assignment) override {

@@ -17,7 +17,7 @@
 // forwarder — one relaxed atomic load per call — so it can stay compiled
 // into tools and benchmarks.  bench_feature_cost's report-only rows
 // measure that cost on a 4-vCPU Xeon: +6.2–9.8 % on read() and
-// +4.3–6.4 % on stop+start.
+// +3.5–12.9 % on stop+start.
 #pragma once
 
 #include <array>

@@ -75,7 +75,29 @@ int open_event(pmu::NativeEventCode code, bool disabled) {
       syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0));
 }
 
+/// What read(2) returns for one fd under open_event()'s read_format.
+struct FdReading {
+  std::uint64_t value = 0;
+  PerfTimes times;
+};
+static_assert(sizeof(FdReading) == 3 * sizeof(std::uint64_t));
+
+bool read_fd(int fd, FdReading& out) {
+  return ::read(fd, &out, sizeof(out)) ==
+         static_cast<ssize_t>(sizeof(out));
+}
+
 }  // namespace
+
+std::uint64_t perf_scaled_count(std::uint64_t value, PerfTimes since,
+                                PerfTimes now) {
+  const std::uint64_t enabled = now.enabled - since.enabled;
+  const std::uint64_t running = now.running - since.running;
+  if (running == 0 || running >= enabled) return value;
+  return static_cast<std::uint64_t>(static_cast<double>(value) *
+                                    static_cast<double>(enabled) /
+                                    static_cast<double>(running));
+}
 
 // ---------------------------------------------------------------------------
 // PerfCounterContext
@@ -84,8 +106,8 @@ int open_event(pmu::NativeEventCode code, bool disabled) {
 PerfCounterContext::~PerfCounterContext() { close_all(); }
 
 void PerfCounterContext::close_all() {
-  for (int fd : fds_) {
-    if (fd >= 0) close(fd);
+  for (const Fd& f : fds_) {
+    if (f.fd >= 0) close(f.fd);
   }
   fds_.clear();
 }
@@ -111,7 +133,7 @@ Status PerfCounterContext::program(
       close_all();
       return status;
     }
-    fds_.push_back(fd);
+    fds_.push_back(Fd{fd, {}});
   }
   return Error::kOk;
 }
@@ -120,11 +142,16 @@ Status PerfCounterContext::start() {
   if (!substrate_.available()) return Error::kSystem;
   if (running_) return Error::kIsRunning;
   if (fds_.empty()) return Error::kInvalid;
-  for (int fd : fds_) {
-    if (ioctl(fd, PERF_EVENT_IOC_RESET, 0) != 0 ||
-        ioctl(fd, PERF_EVENT_IOC_ENABLE, 0) != 0) {
+  for (Fd& f : fds_) {
+    // Still disabled, so the times read here are where this run's
+    // interval begins.
+    FdReading reading;
+    if (ioctl(f.fd, PERF_EVENT_IOC_RESET, 0) != 0 ||
+        !read_fd(f.fd, reading) ||
+        ioctl(f.fd, PERF_EVENT_IOC_ENABLE, 0) != 0) {
       return Error::kSystem;
     }
+    f.base = reading.times;
   }
   running_ = true;
   return Error::kOk;
@@ -132,8 +159,8 @@ Status PerfCounterContext::start() {
 
 Status PerfCounterContext::stop() {
   if (!running_) return Error::kNotRunning;
-  for (int fd : fds_) {
-    (void)ioctl(fd, PERF_EVENT_IOC_DISABLE, 0);
+  for (const Fd& f : fds_) {
+    (void)ioctl(f.fd, PERF_EVENT_IOC_DISABLE, 0);
   }
   running_ = false;
   return Error::kOk;
@@ -143,31 +170,25 @@ Status PerfCounterContext::read(std::span<std::uint64_t> out) {
   if (fds_.empty()) return Error::kInvalid;
   if (out.size() < fds_.size()) return Error::kInvalid;
   for (std::size_t i = 0; i < fds_.size(); ++i) {
-    struct {
-      std::uint64_t value;
-      std::uint64_t time_enabled;
-      std::uint64_t time_running;
-    } data{};
-    if (::read(fds_[i], &data, sizeof(data)) != sizeof(data)) {
-      return Error::kSystem;
-    }
+    FdReading reading;
+    if (!read_fd(fds_[i].fd, reading)) return Error::kSystem;
     // Kernel-side multiplexing: scale by the duty cycle, exactly the
     // estimation core/multiplex performs for the simulated substrates.
-    std::uint64_t value = data.value;
-    if (data.time_running > 0 && data.time_running < data.time_enabled) {
-      value = static_cast<std::uint64_t>(
-          static_cast<double>(value) *
-          static_cast<double>(data.time_enabled) /
-          static_cast<double>(data.time_running));
-    }
-    out[i] = value;
+    out[i] = perf_scaled_count(reading.value, fds_[i].base, reading.times);
   }
   return Error::kOk;
 }
 
 Status PerfCounterContext::reset_counts() {
-  for (int fd : fds_) {
-    if (ioctl(fd, PERF_EVENT_IOC_RESET, 0) != 0) return Error::kSystem;
+  for (Fd& f : fds_) {
+    if (ioctl(f.fd, PERF_EVENT_IOC_RESET, 0) != 0) return Error::kSystem;
+    // A reset mid-run starts the interval reads scale over; a stopped
+    // context's next start() rebases.
+    if (running_) {
+      FdReading reading;
+      if (!read_fd(f.fd, reading)) return Error::kSystem;
+      f.base = reading.times;
+    }
   }
   return Error::kOk;
 }

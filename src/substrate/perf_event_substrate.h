@@ -7,8 +7,9 @@
 //
 // Scope: counting mode only (no overflow/signal profiling), one fd per
 // event, kernel-side multiplexing with TIME_ENABLED/TIME_RUNNING
-// scaling — the same estimate-from-duty-cycle idea as core/multiplex,
-// done by the scheduler.  Hardware events require perf_event_paranoid
+// scaling over the run since the last reset — the same
+// estimate-from-duty-cycle idea as core/multiplex, done by the
+// scheduler.  Hardware events require perf_event_paranoid
 // permissions; software events (task-clock, page-faults, context
 // switches) work nearly everywhere, so the substrate degrades exactly
 // the way PAPI did on unpatched kernels: present, honest about what it
@@ -19,6 +20,7 @@
 // shared state at all between contexts.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,22 @@
 namespace papirepro::papi {
 
 class PerfEventSubstrate;
+
+/// One fd's enabled and running times, as read(2) returns them with
+/// PERF_FORMAT_TOTAL_TIME_ENABLED | PERF_FORMAT_TOTAL_TIME_RUNNING.
+/// The kernel never resets them: PERF_EVENT_IOC_RESET zeroes only the
+/// count.
+struct PerfTimes {
+  std::uint64_t enabled = 0;
+  std::uint64_t running = 0;
+};
+
+/// Estimates the full count from `value`, counted between the times
+/// `since` and `now`: scaled by that interval's duty cycle (kernel
+/// multiplexing), and returned as is when the event was on a counter
+/// throughout the interval or never.
+std::uint64_t perf_scaled_count(std::uint64_t value, PerfTimes since,
+                                PerfTimes now);
 
 class PerfCounterContext final : public CounterContext {
  public:
@@ -39,7 +57,8 @@ class PerfCounterContext final : public CounterContext {
                  std::span<const std::uint32_t> assignment) override;
   Status start() override;
   Status stop() override;
-  /// Values scaled by time_enabled/time_running (kernel multiplexing).
+  /// Values scaled by time_enabled/time_running since the last start()
+  /// or reset (kernel multiplexing).
   Status read(std::span<std::uint64_t> out) override;
   Status reset_counts() override;
   Status set_overflow(std::uint32_t, std::uint64_t, OverflowCallback,
@@ -53,11 +72,19 @@ class PerfCounterContext final : public CounterContext {
   std::uint64_t cycles() const override;
 
  private:
+  /// One opened event and its times when its count was last reset.
+  /// An EventSet restart keeps the fds, so a read must scale by this
+  /// run's duty cycle, not by the one over the fd's lifetime.
+  struct Fd {
+    int fd = -1;
+    PerfTimes base;
+  };
+
   void close_all();
 
   const PerfEventSubstrate& substrate_;
   bool running_ = false;
-  std::vector<int> fds_;
+  std::vector<Fd> fds_;
 };
 
 /// The perf events and presets are one flat table (the kernel schedules

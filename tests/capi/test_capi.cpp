@@ -101,6 +101,22 @@ TEST_F(CapiSim, HighLevelStartStop) {
   EXPECT_EQ(values[1], 20'000);
 }
 
+TEST_F(CapiSim, HighLevelShortStopKeepsCounting) {
+  // A short array is rejected before anything stops: the counters keep
+  // running, the right-sized stop returns their counts, and the high
+  // level is free for the next start.
+  int events[2] = {PAPI_FMA_INS, PAPI_LD_INS};
+  ASSERT_EQ(PAPI_start_counters(events, 2), PAPI_OK);
+  PAPIrepro_sim_run(sim_, -1);
+  long long values[2] = {};
+  EXPECT_EQ(PAPI_stop_counters(values, 1), PAPI_EINVAL);
+  ASSERT_EQ(PAPI_stop_counters(values, 2), PAPI_OK);
+  EXPECT_EQ(values[0], 10'000);
+  EXPECT_EQ(values[1], 20'000);
+  ASSERT_EQ(PAPI_start_counters(events, 2), PAPI_OK);
+  ASSERT_EQ(PAPI_stop_counters(values, 2), PAPI_OK);
+}
+
 TEST_F(CapiSim, Multiplex) {
   int es = PAPI_NULL;
   ASSERT_EQ(PAPI_create_eventset(&es), PAPI_OK);

@@ -137,6 +137,26 @@ TEST(EventSet, ResetZeroesCounts) {
   EXPECT_GT(v[0], 0);
 }
 
+TEST(EventSet, ShortStopBufferLeavesTheSetRunning) {
+  // stop() checks `out` before it stops, as read() does: a short buffer
+  // is the caller's error, and the counts must survive it.
+  SimFixture f(sim::make_saxpy(10'000), pmu::sim_x86(),
+               {.charge_costs = false});
+  EventSet& set = f.new_set();
+  ASSERT_TRUE(set.add_preset(Preset::kFmaIns).ok());
+  ASSERT_TRUE(set.add_preset(Preset::kLdIns).ok());
+  ASSERT_TRUE(set.start().ok());
+  f.machine->run(4000);
+  std::vector<long long> shorter(1);
+  EXPECT_EQ(set.stop(shorter).error(), Error::kInvalid);
+  EXPECT_TRUE(set.running());
+  f.machine->run();
+  std::vector<long long> v(2);
+  ASSERT_TRUE(set.stop(v).ok());
+  EXPECT_EQ(v[0], 10'000);
+  EXPECT_EQ(v[1], 20'000);
+}
+
 TEST(EventSet, StateMachineErrors) {
   SimFixture f(sim::make_saxpy(100), pmu::sim_x86());
   EventSet& set = f.new_set();

@@ -253,6 +253,50 @@ TEST(PerfEvent, WorksThroughTheLibraryLayer) {
   (void)sub;
 }
 
+// An EventSet restart keeps the fds its first start opened: program()
+// (one perf_event_open per event) runs once, and every later
+// stop()+start() only resets and enables them again.
+TEST(PerfEvent, LibraryRestartsKeepTheirFds) {
+  auto perf = std::make_unique<PerfEventSubstrate>();
+  if (!perf->available()) GTEST_SKIP() << "perf_event unavailable";
+  auto fault_ptr =
+      std::make_unique<FaultInjectingSubstrate>(std::move(perf), FaultPlan{});
+  FaultInjectingSubstrate* fault = fault_ptr.get();
+  Library library(std::move(fault_ptr));
+
+  auto handle = library.create_event_set();
+  EventSet* set = library.event_set(handle.value()).value();
+  ASSERT_TRUE(set->add_named("PERF_COUNT_SW_TASK_CLOCK").ok());
+  ASSERT_TRUE(set->add_named("PERF_COUNT_SW_PAGE_FAULTS").ok());
+  ASSERT_TRUE(set->add_named("PERF_COUNT_SW_CONTEXT_SWITCHES").ok());
+  std::vector<long long> values(3);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(set->start().ok()) << i;
+    volatile double x = 1.0;
+    for (int j = 0; j < 20'000; ++j) x = x * 1.0000001 + 0.25;
+    ASSERT_TRUE(set->stop(values).ok()) << i;
+    EXPECT_GT(values[0], 0) << i;  // task-clock, ns
+  }
+  EXPECT_EQ(fault->call_count(FaultSite::kProgram), 1u);
+}
+
+// The kernel never resets an fd's enabled and running times, and a
+// restart keeps its fds: a read scales by the duty cycle since this
+// run's start, not by the one over the fd's lifetime.
+TEST(PerfEvent, ScaleUsesOnlyTheCurrentRunsTimes) {
+  // Run 1 is multiplexed at 50 %: 100 ns enabled, 50 ns on a counter.
+  const PerfTimes run2_start{100, 50};
+  // Run 2 is on a counter throughout its 100 ns and counts 1000.
+  const PerfTimes run2_end{200, 150};
+  EXPECT_EQ(perf_scaled_count(1000, run2_start, run2_end), 1000u);
+  // Scaling by the lifetime times would read 1000 * 200 / 150.
+  EXPECT_EQ(perf_scaled_count(1000, PerfTimes{}, run2_end), 1333u);
+  // Run 1 alone: half the time on a counter, so twice its count.
+  EXPECT_EQ(perf_scaled_count(600, PerfTimes{}, run2_start), 1200u);
+  // A run that never reached a counter has nothing to scale.
+  EXPECT_EQ(perf_scaled_count(0, run2_end, PerfTimes{300, 150}), 0u);
+}
+
 TEST(PerfEvent, TimersAndMemoryInfo) {
   PerfEventSubstrate sub;
   const auto t0 = sub.real_usec();
