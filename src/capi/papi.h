@@ -393,10 +393,10 @@ int PAPIrepro_set_sampling(int async_enable,
 
 /* ---- self-telemetry (reproduction extension) ----
  * The library watches itself: every control-path call, retry,
- * degradation, mux rotation, allocation-memo outcome, sample, and
- * injected fault bumps a process-wide introspection counter.  One
- * consistent snapshot (below) backs this call and the
- * PAPIREPRO_TELEMETRY=stderr|<path> at-shutdown summary. */
+ * degradation, mux rotation, sample, and injected fault bumps a
+ * process-wide introspection counter.  One consistent snapshot (below)
+ * backs this call and the PAPIREPRO_TELEMETRY=stderr|<path> at-shutdown
+ * summary. */
 typedef struct PAPIrepro_telemetry {
   /* counters, cumulative since init */
   long long starts;             /* successful PAPI_start calls */
@@ -409,10 +409,6 @@ typedef struct PAPIrepro_telemetry {
   long long retry_exhaustions;  /* transients surfaced after the budget */
   long long degradations;       /* degradation-ladder activations */
   long long faults_injected;    /* faults the injecting decorator fired */
-  long long alloc_cache_hits;
-  long long alloc_cache_misses;
-  long long alloc_cache_evictions;
-  long long alloc_cache_invalidations;
   long long samples_enqueued;   /* overflow samples accepted by rings */
   long long samples_dropped;    /* overflow samples lost to full rings */
   long long samples_dispatched; /* samples the aggregator delivered */
@@ -429,7 +425,6 @@ typedef struct PAPIrepro_telemetry {
   /* gauges at snapshot time */
   long long threads_seen;       /* threads that ever touched telemetry */
   long long trace_records_buffered;
-  long long alloc_cache_entries; /* allocation memo resident entries */
   long long sampling_sweeps;    /* aggregator drain passes */
   long long sampling_flushes;   /* synchronous flush/detach drains */
   long long sampling_rings_active; /* sample rings currently registered */

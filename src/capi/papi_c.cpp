@@ -313,11 +313,6 @@ int PAPIrepro_get_telemetry(PAPIrepro_telemetry_t* out) {
   out->retry_exhaustions = counter(TC::kRetryExhaustions);
   out->degradations = counter(TC::kDegradations);
   out->faults_injected = counter(TC::kFaultsInjected);
-  out->alloc_cache_hits = counter(TC::kAllocCacheHits);
-  out->alloc_cache_misses = counter(TC::kAllocCacheMisses);
-  out->alloc_cache_evictions = counter(TC::kAllocCacheEvictions);
-  out->alloc_cache_invalidations =
-      counter(TC::kAllocCacheInvalidations);
   out->samples_enqueued = counter(TC::kSamplesEnqueued);
   out->samples_dropped = counter(TC::kSamplesDropped);
   out->samples_dispatched = counter(TC::kSamplesDispatched);
@@ -334,8 +329,6 @@ int PAPIrepro_get_telemetry(PAPIrepro_telemetry_t* out) {
   out->threads_seen = static_cast<long long>(snap.threads_seen);
   out->trace_records_buffered =
       static_cast<long long>(snap.trace_records_buffered);
-  out->alloc_cache_entries =
-      static_cast<long long>(snap.alloc_cache_entries);
   out->sampling_sweeps = static_cast<long long>(snap.sampling_sweeps);
   out->sampling_flushes = static_cast<long long>(snap.sampling_flushes);
   out->sampling_rings_active =

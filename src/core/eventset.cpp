@@ -39,14 +39,17 @@ Status EventSet::rebuild(
     const std::vector<Entry>& candidate_entries,
     const std::vector<pmu::NativeEventCode>& candidate_natives,
     const std::vector<std::uint32_t>& candidate_components) {
+  std::vector<Entry> entries = candidate_entries;
+  std::vector<pmu::NativeEventCode> natives;
+  std::vector<std::uint32_t> components;
+  std::vector<ComponentSlice> slices;
   if (multiplex_) {
     // Multiplexing stays a single-component (CPU core) feature: slices
     // of one counter file rotated on one timer.
     for (const std::uint32_t component : candidate_components) {
       if (component != 0) return Error::kConflict;
     }
-    auto plans = plan_multiplex(library_.substrate(), candidate_natives,
-                                &library_.allocation_cache());
+    auto plans = plan_multiplex(library_.substrate(), candidate_natives);
     if (!plans.ok()) return plans.error();
     mux_plans_ = std::move(plans.value());
     mux_group_events_.assign(mux_plans_.size(), {});
@@ -56,86 +59,70 @@ Status EventSet::rebuild(
         mux_group_events_[g].push_back(candidate_natives[idx]);
       }
     }
-    std::vector<ComponentSlice> slices;
     if (!candidate_natives.empty()) {
       ComponentSlice slice;
       slice.count = candidate_natives.size();
       slice.comp = library_.components_.at(0);
       slices.push_back(std::move(slice));
     }
-    entries_ = candidate_entries;
-    natives_ = candidate_natives;
-    native_components_ = candidate_components;
-    slices_ = std::move(slices);
-    rebuild_flat_terms();
-    refresh_program_id();
-    // Membership changed: the stop() snapshot and the cross-thread
-    // publication describe the old member list — drop both.
-    stopped_raw_valid_ = false;
-    publish_clear();
-    return Error::kOk;
-  }
-
-  // Order natives ascending by component (stable within a component) so
-  // each component's share is contiguous, and remap every entry's term
-  // indices to the new order.
-  std::vector<std::size_t> order(candidate_natives.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return candidate_components[a] <
-                            candidate_components[b];
-                   });
-  std::vector<pmu::NativeEventCode> sorted_natives;
-  std::vector<std::uint32_t> sorted_components;
-  std::vector<std::size_t> remap(order.size());
-  sorted_natives.reserve(order.size());
-  sorted_components.reserve(order.size());
-  for (std::size_t new_index = 0; new_index < order.size(); ++new_index) {
-    const std::size_t old_index = order[new_index];
-    remap[old_index] = new_index;
-    sorted_natives.push_back(candidate_natives[old_index]);
-    sorted_components.push_back(candidate_components[old_index]);
-  }
-
-  // One allocation per component slice, each against its own substrate
-  // and its own (component-keyed) memo entry.
-  std::vector<ComponentSlice> slices;
-  std::size_t begin = 0;
-  while (begin < sorted_natives.size()) {
-    const std::uint32_t component = sorted_components[begin];
-    std::size_t end = begin;
-    while (end < sorted_natives.size() &&
-           sorted_components[end] == component) {
-      ++end;
+    natives = candidate_natives;
+    components = candidate_components;
+  } else {
+    // Order natives ascending by component (stable within a component)
+    // so each component's share is contiguous, and remap every entry's
+    // term indices to the new order.
+    std::vector<std::size_t> order(candidate_natives.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return candidate_components[a] <
+                              candidate_components[b];
+                     });
+    std::vector<std::size_t> remap(order.size());
+    natives.reserve(order.size());
+    components.reserve(order.size());
+    for (std::size_t new_index = 0; new_index < order.size();
+         ++new_index) {
+      const std::size_t old_index = order[new_index];
+      remap[old_index] = new_index;
+      natives.push_back(candidate_natives[old_index]);
+      components.push_back(candidate_components[old_index]);
     }
-    Substrate* substrate = library_.component_substrate(component);
-    if (substrate == nullptr) return Error::kNoComponent;
-    auto assignment = library_.allocation_cache().allocate(
-        *substrate,
-        std::span<const pmu::NativeEventCode>(sorted_natives)
-            .subspan(begin, end - begin),
-        {}, component);
-    if (!assignment.ok()) return assignment.error();
-    ComponentSlice slice;
-    slice.component = component;
-    slice.offset = begin;
-    slice.count = end - begin;
-    slice.assignment = std::move(assignment).value();
-    slice.comp = library_.components_.at(component);
-    slices.push_back(std::move(slice));
-    begin = end;
-  }
 
-  std::vector<Entry> remapped_entries = candidate_entries;
-  for (Entry& entry : remapped_entries) {
-    for (TermRef& term : entry.terms) {
-      term.native_index = remap[term.native_index];
+    // One allocation per component slice, each against its own
+    // substrate.
+    std::size_t begin = 0;
+    while (begin < natives.size()) {
+      const std::uint32_t component = components[begin];
+      std::size_t end = begin;
+      while (end < natives.size() && components[end] == component) ++end;
+      Substrate* substrate = library_.component_substrate(component);
+      if (substrate == nullptr) return Error::kNoComponent;
+      auto assignment = substrate->allocate(
+          std::span<const pmu::NativeEventCode>(natives).subspan(
+              begin, end - begin),
+          {});
+      if (!assignment.ok()) return assignment.error();
+      ComponentSlice slice;
+      slice.component = component;
+      slice.offset = begin;
+      slice.count = end - begin;
+      slice.assignment = std::move(assignment).value();
+      slice.comp = library_.components_.at(component);
+      slices.push_back(std::move(slice));
+      begin = end;
+    }
+
+    for (Entry& entry : entries) {
+      for (TermRef& term : entry.terms) {
+        term.native_index = remap[term.native_index];
+      }
     }
   }
-  entries_ = std::move(remapped_entries);
-  natives_ = std::move(sorted_natives);
-  native_components_ = std::move(sorted_components);
+
+  entries_ = std::move(entries);
+  natives_ = std::move(natives);
+  native_components_ = std::move(components);
   slices_ = std::move(slices);
   rebuild_flat_terms();
   refresh_program_id();
@@ -148,7 +135,7 @@ Status EventSet::rebuild(
 
 void EventSet::rebuild_flat_terms() {
   // Flatten the term lists for the read hot path: one contiguous array,
-  // rebuilt whenever membership changes (both rebuild() branches).
+  // rebuilt whenever membership changes.
   flat_terms_.clear();
   calc_.clear();
   calc_.reserve(entries_.size());
@@ -1072,12 +1059,23 @@ Status EventSet::stop(std::span<long long> out) {
 
 Status EventSet::set_overflow(EventId id, std::uint64_t threshold,
                               OverflowHandler handler) {
+  auto config = std::make_shared<OverflowConfig>();
+  config->handler = std::move(handler);
+  return install_overflow(id, threshold, std::move(config));
+}
+
+Status EventSet::install_overflow(EventId id, std::uint64_t threshold,
+                                  std::shared_ptr<OverflowConfig> config) {
   if (running()) return Error::kIsRunning;
   if (multiplex_) return Error::kConflict;  // PAPI: no overflow while muxed
   // Overflow interrupts are a CPU-core (component 0) feature: the sim
   // memory/network substrates have no interrupt line.
   if (id.component != 0) return Error::kNoSupport;
-  if (threshold == 0 || !handler) return Error::kInvalid;
+  // A config must deliver somewhere: set_overflow() with a null handler
+  // has nowhere to (profil() always brings its buffer).
+  if (threshold == 0 || (!config->handler && config->profile == nullptr)) {
+    return Error::kInvalid;
+  }
   const int pos = find_entry(id);
   if (pos < 0) return Error::kNoEvent;
   if (entries_[pos].terms.size() != 1 ||
@@ -1085,10 +1083,8 @@ Status EventSet::set_overflow(EventId id, std::uint64_t threshold,
     return Error::kInvalid;  // overflow on derived events is not allowed
   }
   clear_overflow(id).ok();  // replace any prior config
-  auto config = std::make_shared<OverflowConfig>();
   config->id = id;
   config->threshold = threshold;
-  config->handler = std::move(handler);
   overflow_configs_.push_back(std::move(config));
   return Error::kOk;
 }
@@ -1125,24 +1121,10 @@ Status EventSet::clear_overflow(EventId id) {
 
 Status EventSet::profil(ProfileBuffer& buffer, EventId id,
                         std::uint64_t threshold, bool prefer_precise) {
-  if (running()) return Error::kIsRunning;
-  if (multiplex_) return Error::kConflict;
-  if (id.component != 0) return Error::kNoSupport;  // CPU-core only
-  if (threshold == 0) return Error::kInvalid;
-  const int pos = find_entry(id);
-  if (pos < 0) return Error::kNoEvent;
-  if (entries_[pos].terms.size() != 1 ||
-      entries_[pos].terms.front().coefficient != 1) {
-    return Error::kInvalid;
-  }
-  clear_overflow(id).ok();
   auto config = std::make_shared<OverflowConfig>();
-  config->id = id;
-  config->threshold = threshold;
   config->profile = &buffer;
   config->prefer_precise = prefer_precise;
-  overflow_configs_.push_back(std::move(config));
-  return Error::kOk;
+  return install_overflow(id, threshold, std::move(config));
 }
 
 Status EventSet::profil_stop(EventId id) { return clear_overflow(id); }

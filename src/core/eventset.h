@@ -262,11 +262,11 @@ class EventSet {
                  const std::vector<pmu::NativeEventCode>& candidate_natives,
                  const std::vector<std::uint32_t>& candidate_components);
   /// Regenerates flat_terms_/calc_ from entries_ — must follow every
-  /// entries_ assignment (both rebuild() branches).
+  /// entries_ assignment (the membership commit at the end of rebuild()).
   void rebuild_flat_terms();
   /// Draws a fresh program_id_ and latches the slices' allocation
   /// generation: every change to what program() would load must call
-  /// it (both rebuild() branches, set_domain()).
+  /// it (rebuild()'s membership commit, set_domain()).
   void refresh_program_id() noexcept;
   /// Sum of the slices' substrates' allocation_generation().
   std::uint64_t allocation_generation() const noexcept;
@@ -277,6 +277,11 @@ class EventSet {
   /// reads, the values accum()/stop() compute) so the running paths
   /// perform no heap allocation after start().
   void preallocate_scratch();
+  /// The one path behind set_overflow() and profil(): makes their shared
+  /// rejections, then stamps `config` with `id` and `threshold` and
+  /// installs it in place of any prior config for `id`.
+  Status install_overflow(EventId id, std::uint64_t threshold,
+                          std::shared_ptr<OverflowConfig> config);
   Status arm_overflows();
   Status arm_overflow(std::size_t config_index);
   /// Clears every callback this run armed on the context — overflow

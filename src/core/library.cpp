@@ -54,7 +54,6 @@ Library::Library(std::unique_ptr<Substrate> substrate)
   assert(added.ok());
   (void)added;
   substrate_->bind_telemetry(&telemetry_);
-  alloc_cache_.bind_telemetry(&telemetry_);
   sampling_.bind_telemetry(&telemetry_);
   // Component 0's health monitor uses the CPU substrate as its cool-down
   // clock (every component does — one time base for the whole breaker).
@@ -92,7 +91,6 @@ Library::~Library() {
 TelemetrySnapshot Library::telemetry_snapshot() const {
   TelemetrySnapshot snap = telemetry_.snapshot();
   snap.num_components = components_.size();
-  snap.alloc_cache_entries = alloc_cache_.stats().entries;
   const SamplingStats sampling = sampling_.stats();
   snap.sampling_sweeps = sampling.sweeps;
   snap.sampling_flushes = sampling.flushes;

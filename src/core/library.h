@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/allocation_cache.h"
 #include "core/component.h"
 #include "core/eventset.h"
 #include "core/memory_info.h"
@@ -273,13 +272,6 @@ class Library {
     return status;
   }
 
-  /// Memoized front of Substrate::allocate, shared by every EventSet
-  /// rebuild and multiplex plan in this library.
-  AllocationCache& allocation_cache() noexcept { return alloc_cache_; }
-  const AllocationCache& allocation_cache() const noexcept {
-    return alloc_cache_;
-  }
-
   // --- asynchronous sampling pipeline ---
   /// The per-Library sample aggregator: one consumer thread draining
   /// every running EventSet's overflow ring (PAPIrepro_set_sampling at
@@ -293,14 +285,13 @@ class Library {
 
   // --- self-telemetry ---
   /// The library-wide introspection registry.  Every subsystem (EventSet
-  /// control paths, retry wrapper, allocation cache, sampling pipeline,
-  /// fault decorator) bumps counters here; tools and the C API read one
-  /// consistent snapshot back out.
+  /// control paths, retry wrapper, sampling pipeline, fault decorator)
+  /// bumps counters here; tools and the C API read one consistent
+  /// snapshot back out.
   TelemetryRegistry& telemetry() noexcept { return telemetry_; }
   const TelemetryRegistry& telemetry() const noexcept { return telemetry_; }
-  /// Registry counter totals plus the subsystem gauges (alloc-cache
-  /// entries, sampling ring state) folded in — the one read path behind
-  /// PAPIrepro_get_telemetry.
+  /// Registry counter totals plus the subsystem gauges (sampling ring
+  /// state) folded in — the one read path behind PAPIrepro_get_telemetry.
   TelemetrySnapshot telemetry_snapshot() const;
   /// Enables/disables the per-thread trace rings (PAPIrepro_set_trace).
   /// `ring_capacity` 0 keeps the registry default.
@@ -377,9 +368,9 @@ class Library {
   EventSet* current_running() const noexcept;
 
   /// Declared first: every other subsystem (substrate decorators, the
-  /// allocation cache, the sampling aggregator, EventSets) holds a raw
-  /// pointer into the registry, so it must be constructed before and
-  /// destroyed after all of them.
+  /// sampling aggregator, EventSets) holds a raw pointer into the
+  /// registry, so it must be constructed before and destroyed after all
+  /// of them.
   TelemetryRegistry telemetry_;
 
   /// Owns every component's Substrate (component 0 is the one the
@@ -407,8 +398,6 @@ class Library {
   /// observed field-by-field; both orderings are valid policies.
   std::atomic<int> retry_max_attempts_{3};
   std::atomic<std::uint64_t> retry_backoff_usec_{0};
-
-  AllocationCache alloc_cache_;
 
   /// Declared before sets_: EventSets detach their rings in their
   /// destructors, so the aggregator must outlive the handle table.

@@ -2,15 +2,13 @@
 
 #include <unordered_map>
 
-#include "core/allocation_cache.h"
 #include "core/allocator.h"
 
 namespace papirepro::papi {
 
 Result<std::vector<MuxGroupPlan>> plan_multiplex(
     const Substrate& substrate,
-    std::span<const pmu::NativeEventCode> natives,
-    AllocationCache* cache) {
+    std::span<const pmu::NativeEventCode> natives) {
   std::vector<std::size_t> remaining(natives.size());
   for (std::size_t i = 0; i < remaining.size(); ++i) remaining[i] = i;
 
@@ -29,8 +27,7 @@ Result<std::vector<MuxGroupPlan>> plan_multiplex(
     // placeable subset.
     std::vector<std::size_t> chosen_members;
     std::vector<std::uint32_t> chosen_assignment;
-    auto whole = cache != nullptr ? cache->allocate(substrate, subset, {})
-                                  : substrate.allocate(subset, {});
+    auto whole = substrate.allocate(subset, {});
     if (whole.ok()) {
       chosen_members = remaining;
       chosen_assignment = std::move(whole.value());

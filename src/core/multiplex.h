@@ -17,8 +17,6 @@
 
 namespace papirepro::papi {
 
-class AllocationCache;
-
 struct MuxGroupPlan {
   /// Indices into the original native-event list.
   std::vector<std::size_t> members;
@@ -30,13 +28,9 @@ struct MuxGroupPlan {
 /// simultaneously-countable subset of the remaining events (via the
 /// optimal max-cardinality matcher) until all are covered.
 /// Error::kConflict if some event cannot be counted even alone.
-/// With `cache`, the whole-remainder allocation probes (including their
-/// kConflict outcomes) go through the memo instead of re-solving on
-/// every rebuild.
 Result<std::vector<MuxGroupPlan>> plan_multiplex(
     const Substrate& substrate,
-    std::span<const pmu::NativeEventCode> natives,
-    AllocationCache* cache = nullptr);
+    std::span<const pmu::NativeEventCode> natives);
 
 /// Default time-slice, in substrate cycles.  Real PAPI sliced on the
 /// ~10 ms profiling timer; at simulated GHz rates that is far longer

@@ -132,7 +132,6 @@ std::string TelemetryRegistry::render_summary(
        << snapshot.component_value(comp, ComponentCounter::kReads)
        << "\n";
   }
-  os << "  alloc_cache_entries: " << snapshot.alloc_cache_entries << "\n";
   os << "  sampling: sweeps=" << snapshot.sampling_sweeps
      << " flushes=" << snapshot.sampling_flushes
      << " rings_active=" << snapshot.sampling_rings_active

@@ -49,10 +49,11 @@ enum class TelemetryCounter : std::size_t {
   kRetryExhaustions,     ///< transient faults surfaced after the budget
   kDegradations,         ///< degradation-ladder activations
   kFaultsInjected,       ///< faults the injecting decorator delivered
-  kAllocCacheHits,       ///< allocation-memo hits
-  kAllocCacheMisses,     ///< allocation-memo misses (matcher solves)
-  kAllocCacheEvictions,  ///< LRU evictions
-  kAllocCacheInvalidations,  ///< generation-change flushes
+  // Nothing bumps these two, so both read 0.  They stay only while
+  // perfbench's selfmon workload reads them for its
+  // core.alloc_cache.hit_ratio row.
+  kAllocCacheHits,       ///< always 0
+  kAllocCacheMisses,     ///< always 0
   kSamplesEnqueued,      ///< overflow samples accepted by rings
   kSamplesDropped,       ///< overflow samples lost to full rings
   kSamplesDispatched,    ///< samples delivered by the aggregator
@@ -81,7 +82,6 @@ constexpr std::array<const char*, kNumTelemetryCounters>
         "retry_attempts",   "retry_exhaustions",
         "degradations",     "faults_injected",
         "alloc_cache_hits", "alloc_cache_misses",
-        "alloc_cache_evictions", "alloc_cache_invalidations",
         "samples_enqueued", "samples_dropped",
         "samples_dispatched", "overflows_suppressed",
         "trace_records",    "trace_drops",
@@ -168,7 +168,6 @@ struct TelemetrySnapshot {
   std::uint64_t trace_records_buffered = 0;
 
   // Gauges copied from their owning subsystems at snapshot time.
-  std::uint64_t alloc_cache_entries = 0;
   std::uint64_t sampling_sweeps = 0;
   std::uint64_t sampling_flushes = 0;
   std::uint64_t sampling_rings_active = 0;

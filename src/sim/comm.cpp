@@ -140,7 +140,7 @@ bool CommWorld::run_lockstep(std::uint64_t quantum,
 Workload make_ring_rank(std::size_t rank, std::size_t nranks,
                         std::int64_t iters, std::int64_t work,
                         std::int64_t chunk_words) {
-  assert(nranks >= 2 && rank < nranks);
+  assert(nranks >= 1 && rank < nranks);
   assert(iters > 0 && work > 0 && chunk_words > 0);
   const auto right =
       static_cast<std::int64_t>((rank + 1) % nranks);

@@ -135,6 +135,8 @@ class CommWorld {
 /// `iters` rounds of (compute `work` FMAs on a local array; send a
 /// `chunk_words` message to the right neighbour; receive from the left).
 /// The classic compute/communicate alternation Vampir-style views show.
+/// A one-rank ring is its own neighbour: the rank sends to itself and
+/// receives its own message.
 Workload make_ring_rank(std::size_t rank, std::size_t nranks,
                         std::int64_t iters, std::int64_t work,
                         std::int64_t chunk_words);

@@ -20,7 +20,6 @@
 // band, not via the instrumented process.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -117,15 +116,6 @@ class MemBandwidthSubstrate final : public TableSubstrate {
     return *machines_.current();
   }
 
-  std::uint64_t allocation_generation() const noexcept override {
-    return allocation_generation_.load(std::memory_order_relaxed);
-  }
-  /// Test hook: models an uncore reconfiguration that changes the
-  /// allocation rules, so per-component cache invalidation is testable.
-  void bump_allocation_generation() noexcept {
-    allocation_generation_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   std::uint64_t real_usec() const override { return primary().microseconds(); }
   std::uint64_t real_cycles() const override { return primary().cycles(); }
   std::uint64_t virt_usec() const override { return primary().microseconds(); }
@@ -136,7 +126,6 @@ class MemBandwidthSubstrate final : public TableSubstrate {
   const sim::Machine& primary() const noexcept { return *machines_.primary(); }
 
   ThreadBinding<sim::Machine*> machines_;
-  std::atomic<std::uint64_t> allocation_generation_{0};
 };
 
 /// Network component over a sim::CommWorld: per-rank message counters

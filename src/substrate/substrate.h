@@ -114,9 +114,10 @@ class Substrate {
   /// Version counter over the substrate's allocation *rules*: bumped
   /// whenever the outcome of allocate()/translate_allocation() for a
   /// fixed event list may change (e.g. sim-alpha's estimation-mode
-  /// toggle makes maskless events placeable).  The core's
-  /// AllocationCache keys its memo on this so cached solves never
-  /// outlive the rules that produced them.
+  /// toggle makes maskless events placeable).  EventSet::start() sums
+  /// it over the set's slices and reprograms the thread's contexts when
+  /// the sum has moved since the set last latched it, so a restart never
+  /// runs on programming the old rules produced.
   virtual std::uint64_t allocation_generation() const noexcept {
     return 0;
   }

@@ -342,31 +342,6 @@ TEST_F(CapiSim, ThreadsCountConcurrently) {
   for (PAPIrepro_sim_t* s : sims) PAPIrepro_sim_destroy(s);
 }
 
-TEST_F(CapiSim, AllocCacheStats) {
-  int es = PAPI_NULL;
-  ASSERT_EQ(PAPI_create_eventset(&es), PAPI_OK);
-  ASSERT_EQ(PAPI_add_event(es, PAPI_FMA_INS), PAPI_OK);
-  ASSERT_EQ(PAPI_add_event(es, PAPI_TOT_INS), PAPI_OK);
-  PAPIrepro_telemetry_t first = {};
-  ASSERT_EQ(PAPIrepro_get_telemetry(&first), PAPI_OK);
-  EXPECT_GT(first.alloc_cache_misses, 0);
-  EXPECT_GT(first.alloc_cache_entries, 0);
-
-  // An identical second build replays from the cache: hits move, misses
-  // do not.
-  int es2 = PAPI_NULL;
-  ASSERT_EQ(PAPI_create_eventset(&es2), PAPI_OK);
-  ASSERT_EQ(PAPI_add_event(es2, PAPI_FMA_INS), PAPI_OK);
-  ASSERT_EQ(PAPI_add_event(es2, PAPI_TOT_INS), PAPI_OK);
-  PAPIrepro_telemetry_t second = {};
-  ASSERT_EQ(PAPIrepro_get_telemetry(&second), PAPI_OK);
-  EXPECT_EQ(second.alloc_cache_misses, first.alloc_cache_misses);
-  EXPECT_GT(second.alloc_cache_hits, first.alloc_cache_hits);
-  EXPECT_EQ(second.alloc_cache_entries, first.alloc_cache_entries);
-  (void)PAPI_destroy_eventset(&es);
-  (void)PAPI_destroy_eventset(&es2);
-}
-
 TEST(CapiSimBootstrap, RejectsUnknownNames) {
   EXPECT_EQ(PAPIrepro_sim_create("sim-vax", "saxpy", 0), nullptr);
   EXPECT_EQ(PAPIrepro_sim_create("sim-x86", "not_a_kernel", 0), nullptr);

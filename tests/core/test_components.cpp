@@ -410,49 +410,6 @@ TEST(ComponentTelemetry, FanOutsAreAttributedPerComponent) {
   EXPECT_EQ(snap.value(TelemetryCounter::kStarts), 2u);
 }
 
-// ---- allocation cache keying -------------------------------------------
-
-TEST(ComponentAllocCache, EntriesAreKeyedAndInvalidatedPerComponent) {
-  ComponentFixture f(sim::make_saxpy(1'000));
-  AllocationCache& cache = f.library().allocation_cache();
-  // The same small native codes exist in both non-CPU namespaces: the
-  // component id must be part of entry identity.
-  const std::vector<pmu::NativeEventCode> codes = {0x01, 0x02};
-  const std::vector<int> priorities = {0, 0};
-
-  const auto base = cache.stats();
-  ASSERT_TRUE(
-      cache.allocate(*f.mem, codes, priorities, f.mem_id).ok());
-  ASSERT_TRUE(
-      cache.allocate(*f.net, codes, priorities, f.net_id).ok());
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, base.misses + 2);  // distinct keys: two solves
-
-  ASSERT_TRUE(
-      cache.allocate(*f.mem, codes, priorities, f.mem_id).ok());
-  ASSERT_TRUE(
-      cache.allocate(*f.net, codes, priorities, f.net_id).ok());
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, base.hits + 2);
-
-  // An uncore reconfiguration bumps only mem's generation: mem entries
-  // flush, net entries survive.
-  f.mem->bump_allocation_generation();
-  ASSERT_TRUE(
-      cache.allocate(*f.net, codes, priorities, f.net_id).ok());
-  ASSERT_TRUE(
-      cache.allocate(*f.mem, codes, priorities, f.mem_id).ok());
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits, base.hits + 3);      // net hit again
-  EXPECT_EQ(stats.misses, base.misses + 3);  // mem re-solved
-  EXPECT_GT(stats.invalidations, base.invalidations);
-
-  // A component id beyond the registry cap cannot be cached.
-  EXPECT_EQ(cache.allocate(*f.mem, codes, priorities, kMaxComponents)
-                .error(),
-            Error::kNoComponent);
-}
-
 // ---- fault decorator over a non-CPU component --------------------------
 
 TEST(ComponentFault, DecoratedMemComponentRetriesTransients) {

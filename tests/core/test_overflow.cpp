@@ -39,16 +39,57 @@ TEST(Overflow, DerivedEventRejected) {
 }
 
 TEST(Overflow, RequiresMemberEventAndValidArgs) {
+  // set_overflow() and profil() arm through one path, so each rejection
+  // reads the same code from both entry points.
+  const EventId tot_ins = EventId::preset(Preset::kTotIns);
+  struct Case {
+    const char* what;
+    bool multiplexed;
+    bool running;
+    EventId id;
+    std::uint64_t threshold;
+    Error expected;
+  };
+  const Case cases[] = {
+      {"running", false, true, tot_ins, 100, Error::kIsRunning},
+      {"multiplexed", true, false, tot_ins, 100, Error::kConflict},
+      {"off-core", false, false, EventId::preset(Preset::kTotIns, 1), 100,
+       Error::kNoSupport},
+      {"zero threshold", false, false, tot_ins, 0, Error::kInvalid},
+      {"not a member", false, false, EventId::preset(Preset::kTotCyc), 100,
+       Error::kNoEvent},
+      {"derived", false, false, EventId::preset(Preset::kFpOps), 100,
+       Error::kInvalid},  // PAPI_FP_OPS is derived on sim-x86
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    SimFixture f(sim::make_saxpy(100), pmu::sim_x86());
+    EventSet& set = f.new_set();
+    if (c.multiplexed) {
+      ASSERT_TRUE(set.enable_multiplex().ok());
+    }
+    ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
+    ASSERT_TRUE(set.add_preset(Preset::kFpOps).ok());
+    if (c.running) {
+      ASSERT_TRUE(set.start().ok());
+    }
+    ProfileBuffer buf(sim::kTextBase,
+                      f.workload.program.size() * sim::kInstrBytes);
+    EXPECT_EQ(set.set_overflow(c.id, c.threshold,
+                               [](EventSet&, const OverflowEvent&) {})
+                  .error(),
+              c.expected);
+    EXPECT_EQ(set.profil(buf, c.id, c.threshold).error(), c.expected);
+    if (c.running) {
+      ASSERT_TRUE(set.stop().ok());
+    }
+  }
+
+  // Only set_overflow() takes a handler, and it refuses a null one.
   SimFixture f(sim::make_saxpy(100), pmu::sim_x86());
   EventSet& set = f.new_set();
   ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
-  EXPECT_EQ(set.set_overflow(EventId::preset(Preset::kTotCyc), 100,
-                             [](EventSet&, const OverflowEvent&) {})
-                .error(),
-            Error::kNoEvent);
-  EXPECT_EQ(set.set_overflow(EventId::preset(Preset::kTotIns), 0,
-                             [](EventSet&, const OverflowEvent&) {})
-                .error(),
+  EXPECT_EQ(set.set_overflow(tot_ins, 100, nullptr).error(),
             Error::kInvalid);
 }
 

@@ -4,6 +4,7 @@
 
 #include "core/library.h"
 #include "sim/kernels.h"
+#include "test_util.h"
 
 namespace papirepro::papi {
 namespace {
@@ -120,10 +121,9 @@ TEST(SimSubstrate, GroupAllocationOnPower3) {
 
 TEST(SimSubstrate, EstimationServicesSampledEvents) {
   const auto& p = pmu::sim_alpha();
-  sim::Workload w = sim::make_saxpy(100'000);
-  sim::Machine m(w.program, p.machine);
-  w.setup(m);
-  SimSubstrate sub(m, p);
+  test::SimFixture f(sim::make_saxpy(100'000), p);
+  sim::Machine& m = *f.machine;
+  SimSubstrate& sub = *f.substrate;
 
   const pmu::NativeEventCode events[] = {
       code_of(p, "RETIRED_INSTRUCTIONS"), code_of(p, "PME_FMA")};
@@ -145,6 +145,13 @@ TEST(SimSubstrate, EstimationServicesSampledEvents) {
   // Estimated FMA count within 10% of truth on a long run.
   EXPECT_NEAR(static_cast<double>(out[1]), 100'000.0, 10'000.0);
   EXPECT_NE(sub.sampling_engine(), nullptr);
+  EXPECT_TRUE(f.new_set().add_named("PME_FMA").ok());
+
+  // And back: with estimation off again, the substrate refuses PME_FMA,
+  // and so does an EventSet built after the toggle.
+  ASSERT_TRUE(sub.set_estimation(false).ok());
+  EXPECT_EQ(sub.allocate(events, {}).error(), Error::kConflict);
+  EXPECT_EQ(f.new_set().add_named("PME_FMA").error(), Error::kConflict);
 }
 
 TEST(SimSubstrate, OverflowRoutesThroughEventIndex) {
