@@ -98,6 +98,8 @@ void perf_costs() {
 
   // The same kernel interface under an EventSet: its first start() opens
   // one fd per event, and a restart only resets and enables them again.
+  // A read is one read(2) per fd, and so are an accum and a reset: each
+  // moves the fd's software base instead of resetting it in the kernel.
   papi::Library library(std::make_unique<papi::PerfEventSubstrate>());
   papi::EventSet* set =
       library.event_set(library.create_event_set().value()).value();
@@ -107,17 +109,33 @@ void perf_costs() {
     if (!set->add_named(name).ok()) return;
   }
   if (!set->start().ok()) return;
-  constexpr int kRestarts = 5'000;
-  const auto t4 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kRestarts; ++i) {
-    (void)set->stop();
-    (void)set->start();
-  }
-  const auto t5 = std::chrono::steady_clock::now();
+  const auto per_call = [](auto&& op, int calls) {
+    const auto begin = std::chrono::steady_clock::now();
+    for (int i = 0; i < calls; ++i) op();
+    const auto end = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(end - begin).count() /
+           calls;
+  };
+  const double restart_ns = per_call(
+      [&] {
+        (void)set->stop();
+        (void)set->start();
+      },
+      5'000);
+  long long values[3] = {0, 0, 0};
+  constexpr int kCalls = 20'000;
+  const double read_ns_3 = per_call([&] { (void)set->read(values); }, kCalls);
+  const double accum_ns = per_call([&] { (void)set->accum(values); }, kCalls);
+  const double reset_ns = per_call([&] { (void)set->reset(); }, kCalls);
   (void)set->stop();
   std::printf("  EventSet stop()+start() (3 sw events): %8.0f ns\n",
-              std::chrono::duration<double, std::nano>(t5 - t4).count() /
-                  kRestarts);
+              restart_ns);
+  std::printf("  EventSet read() (3 sw events):         %8.0f ns\n",
+              read_ns_3);
+  std::printf("  EventSet accum() (3 sw events):        %8.0f ns\n",
+              accum_ns);
+  std::printf("  EventSet reset() (3 sw events):        %8.0f ns\n",
+              reset_ns);
 }
 
 }  // namespace

@@ -611,7 +611,7 @@ Status EventSet::start() {
   // Counters are at the post-reset zero point: publish it so batch
   // readers on other threads see this set as running-from-zero rather
   // than serving the previous run's finals.
-  publish_values({}, kPubRunning);
+  publish_values(kZeroValues, kPubRunning);
 
   if (multiplex_) {
     mux_window_start_ = mux_slice_start_ = context_->cycles();
@@ -685,15 +685,17 @@ Status EventSet::serve_latched(const ComponentSlice& slice,
   return status;
 }
 
-inline Status EventSet::read_slice(ComponentSlice& slice) {
+inline Status EventSet::read_slice(ComponentSlice& slice, bool zero) {
   if (multiplex_) [[unlikely]] return read_mux(slice);
   std::span<std::uint64_t> window(raw_.data() + slice.offset, slice.count);
   // Health breaker + retry wrapper around the substrate read; the
   // lambda captures by reference, so the hot path stays allocation-free,
   // and the component entry was resolved at rebuild() so the bracket is
   // two relaxed loads on one already-hot line.
-  const Status status = library_.run_slice_op(
-      *slice.comp, [&] { return slice.context->read(window); });
+  const Status status = library_.run_slice_op(*slice.comp, [&] {
+    return zero ? slice.context->read_and_reset(window)
+                : slice.context->read(window);
+  });
   if (!status.ok()) [[unlikely]] return serve_latched(slice, status);
   NativeFold* folds = folds_.data() + slice.offset;
   if (slice.wrap_mask == ~0ULL) {
@@ -715,21 +717,24 @@ inline Status EventSet::read_slice(ComponentSlice& slice) {
       }
       f.read_flags = f.sticky_flags;
     }
-    return Error::kOk;
+  } else {
+    // Narrow counters wrap: trust only the delta since the previous
+    // read, folded modulo the counter width into the 64-bit
+    // accumulator.  Any reader cadence faster than one wrap period
+    // recovers exact totals.
+    for (std::size_t i = 0; i < slice.count; ++i) {
+      NativeFold& f = folds[i];
+      const std::uint64_t raw = window[i] & slice.wrap_mask;
+      f.wrap_accum += (raw - f.wrap_last) & slice.wrap_mask;
+      f.wrap_last = raw;
+      window[i] = f.wrap_accum;
+      f.latched = f.wrap_accum;
+      f.read_flags = f.sticky_flags;
+    }
   }
-  // Narrow counters wrap: trust only the delta since the previous
-  // read, folded modulo the counter width into the 64-bit
-  // accumulator.  Any reader cadence faster than one wrap period
-  // recovers exact totals.
-  for (std::size_t i = 0; i < slice.count; ++i) {
-    NativeFold& f = folds[i];
-    const std::uint64_t raw = window[i] & slice.wrap_mask;
-    f.wrap_accum += (raw - f.wrap_last) & slice.wrap_mask;
-    f.wrap_last = raw;
-    window[i] = f.wrap_accum;
-    f.latched = f.wrap_accum;
-    f.read_flags = f.sticky_flags;
-  }
+  // The counters restarted from zero, and so do their folds (this
+  // clears kSuspect, as reset() does).
+  if (zero) std::fill_n(folds, slice.count, NativeFold{});
   return Error::kOk;
 }
 
@@ -898,11 +903,13 @@ inline Status EventSet::read_pass(std::span<long long> out,
   // natives_ and read_slice overwrites its whole window, so raw_ needs
   // no zero-fill first.
   const bool all_or_nothing = pass == Pass::kRead || pass == Pass::kAccum;
+  // A direct set's accum zeroes each slice as it reads it.
+  const bool zero = pass == Pass::kAccum && !multiplex_;
   Status status = Error::kOk;
   std::size_t attempted = slices_.size();
   std::uint32_t failed = 0;  // bit i: slice i failed
   for (std::size_t i = 0; i < slices_.size(); ++i) {
-    const Status s = read_slice(slices_[i]);
+    const Status s = read_slice(slices_[i], zero);
     if (s.ok()) [[likely]] continue;
     failed |= 1u << i;
     if (status.ok()) status = s;
@@ -926,11 +933,23 @@ inline Status EventSet::read_pass(std::span<long long> out,
       }
     }
   }
-  if (all_or_nothing && !status.ok()) return status;
+  // An accum that zeroed the first slice zeroed counters: one reset.
+  if (zero && (failed & 1u) == 0) telemetry.bump(TelemetryCounter::kResets);
+  if (all_or_nothing && !status.ok()) {
+    if (!zero) return status;
+    // The slices before the failing one were zeroed, so their values go
+    // out; the rest keep counting from their old zero point and give 0
+    // (an event's natives all sit in its component's slice).
+    std::fill(raw_.begin() + slices_[attempted - 1].offset, raw_.end(), 0);
+    compute_values(raw_, out);
+    return status;
+  }
   compute_values(raw_, out);
   if (!flags.empty()) compute_flags(flags);
   if (pass == Pass::kRead || pass == Pass::kPartial) {
     publish_values(out, kPubRunning);
+  } else if (zero) {
+    publish_values(kZeroValues, kPubRunning);  // batched readers see 0s
   }
   if (traced) {
     const std::uint64_t after = context_->cycles();
@@ -956,23 +975,34 @@ Status EventSet::read_ex(std::span<long long> out,
 Status EventSet::accum(std::span<long long> inout) {
   if (inout.size() < entries_.size()) return Error::kInvalid;
   library_.telemetry().bump(TelemetryCounter::kAccums);
-  PAPIREPRO_RETURN_IF_ERROR(read_pass(scratch_values_, {}, Pass::kAccum));
+  // The pass zeroes a running direct set's slices itself; a multiplexed
+  // or stopped set is read here and reset() after.
+  const bool zeroed_in_pass = running() && !multiplex_;
+  const Status status = read_pass(scratch_values_, {}, Pass::kAccum);
+  if (!status.ok() && !zeroed_in_pass) return status;
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     inout[i] += scratch_values_[i];
   }
-  return reset();  // publishes the zeroed counters: accum's one publication
+  return zeroed_in_pass ? status : reset();
 }
 
 Status EventSet::reset() {
   library_.telemetry().bump(TelemetryCounter::kResets);
-  // When stopped there is no context and nothing live to reset: just
-  // drop the snapshot so read() reports kNotRunning again.
   if (running()) {
+    // Each slice is zeroed inside its health/retry bracket, and its
+    // folds restart with its counters, so a failure at a later slice
+    // cannot leave a zeroed slice reading below its old fold point.
     for (ComponentSlice& slice : slices_) {
-      PAPIREPRO_RETURN_IF_ERROR(slice.context->reset_counts());
+      PAPIREPRO_RETURN_IF_ERROR(library_.run_slice_op(
+          *slice.comp, [&] { return slice.context->reset_counts(); }));
+      std::fill_n(folds_.begin() + static_cast<std::ptrdiff_t>(slice.offset),
+                  slice.count, NativeFold{});
     }
+  } else {
+    // When stopped there is no context and nothing live to reset: just
+    // drop the snapshot so read() reports kNotRunning again.
+    std::fill(folds_.begin(), folds_.end(), NativeFold{});
   }
-  for (NativeFold& f : folds_) f = NativeFold{};
   if (multiplex_) {
     for (auto& st : mux_state_) {
       std::fill(st.accum.begin(), st.accum.end(), 0ULL);
@@ -984,7 +1014,7 @@ Status EventSet::reset() {
   }
   stopped_raw_valid_ = false;
   if (running()) {
-    publish_values({}, kPubRunning);  // batched readers see zeros, not stale
+    publish_values(kZeroValues, kPubRunning);  // zeros, not stale values
   } else {
     publish_clear();
   }

@@ -182,8 +182,19 @@ class EventSet {
   /// be serviced at all (flags tell the fidelity story); argument-size
   /// and not-running errors still surface as before.
   Status read_ex(std::span<long long> out, std::span<std::uint32_t> flags);
-  /// Adds current values into `inout` and resets the counters.
+  /// Adds current values into `inout` and resets the counters.  A
+  /// running direct set reads and zeroes each component slice in one
+  /// substrate call, inside that slice's health/retry bracket.  When
+  /// slice k fails, the slices before it were already zeroed, so their
+  /// values go into `inout`; the slices from k on keep counting from
+  /// their old zero point and add nothing; accum() returns the error.
+  /// So no count is lost or counted twice.  A multiplexed set (whose
+  /// zero point includes its estimation window) and a stopped set read,
+  /// then reset(); a failed read adds nothing.
   Status accum(std::span<long long> inout);
+  /// Zeroes the counters slice by slice, each inside its health/retry
+  /// bracket.  When slice k fails, the slices before it stay zeroed,
+  /// the rest keep counting, and reset() returns the error.
   Status reset();
 
   // --- overflow dispatch ---
@@ -297,7 +308,12 @@ class EventSet {
   enum class Pass : std::uint8_t {
     kRead,     ///< read(): the first failing slice fails the pass
     kPartial,  ///< read_ex(): failing slices serve latched values, flagged
-    kAccum,    ///< accum(): kRead, publication left to the reset after it
+    kAccum,    ///< accum(): kRead, and a direct set's slices are read and
+               ///< zeroed in one substrate call each, their folds rebased
+               ///< and the zeros published once (counted as one reset);
+               ///< when slice k fails, `out` holds the values of the
+               ///< slices before k and 0 for the rest.  A multiplexed
+               ///< set's slice is only read: accum() resets it after.
     kFinal,    ///< stop(): kPartial on halted counters, uncounted,
                ///< untraced, published by stop() once it has disarmed
   };
@@ -316,9 +332,11 @@ class EventSet {
   /// Reads one component slice's share of raw_ through the health
   /// breaker + retry wrapper, applies wraparound folding / monotonic
   /// sanity guards, latches good values, and records per-native
-  /// read_flag bits in folds_.  On failure the slice's window is filled
-  /// from the latched values (flags mark it stale).
-  [[gnu::always_inline]] Status read_slice(ComponentSlice& slice);
+  /// read_flag bits in folds_.  With `zero` the substrate zeroes the
+  /// counters in the same call and the slice's folds restart from zero.
+  /// On failure the slice's window is filled from the latched values
+  /// (flags mark it stale) and nothing is zeroed.
+  [[gnu::always_inline]] Status read_slice(ComponentSlice& slice, bool zero);
   /// A multiplexed set's single slice source, same contract as
   /// read_slice(): rotates first when slices rotate on reads, reads the
   /// open group's counters through the same bracket, and writes every
@@ -478,6 +496,9 @@ class EventSet {
   /// Published values per set; sets with more events publish the first
   /// kMaxPublishedValues and batch readers flag the rest kNoData.
   static constexpr std::size_t kMaxPublishedValues = 16;
+  /// What a publication of zeroed counters stores: as long as any
+  /// publication, so it takes publish_values()' one-pass path.
+  static constexpr std::array<long long, kMaxPublishedValues> kZeroValues{};
   enum : std::uint32_t { kPubNeverRan = 0, kPubRunning = 1, kPubStopped = 2 };
   /// Seqlock-published snapshot of this set's values, refreshed by the
   /// owning thread at start()/read()/stop()/reset(), so batch readers on

@@ -66,6 +66,15 @@ class PmuModel final : public sim::EventListener {
     return counters_[idx].value;
   }
   void reset_counts();
+  /// reset_counts() for physical counter `idx` alone: zeroes it and
+  /// restarts its overflow period, if armed.  Inline like read(): the
+  /// substrate's accum path zeroes each counter as it reads it.
+  void reset_count(std::uint32_t idx) {
+    if (idx >= counters_.size()) return;
+    Counter& c = counters_[idx];
+    c.value = 0;
+    if (c.overflow_threshold > 0) c.next_overflow_at = c.overflow_threshold;
+  }
 
   /// Arms threshold overflow on physical counter `idx`: `handler` runs
   /// once per `threshold` increments, after the platform skid.

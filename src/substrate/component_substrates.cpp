@@ -55,6 +55,21 @@ Status DeltaCounterContext::reset_counts() {
   return {};
 }
 
+Status DeltaCounterContext::read_and_reset(std::span<std::uint64_t> out) {
+  if (out.size() < events_.size()) return Error::kInvalid;
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    if (running_) {
+      const std::uint64_t now = sample(events_[i]);
+      out[i] = now - base_[i];
+      base_[i] = now;
+    } else {
+      out[i] = frozen_[i];
+    }
+    frozen_[i] = 0;
+  }
+  return {};
+}
+
 Status DeltaCounterContext::set_overflow(std::uint32_t /*event_index*/,
                                          std::uint64_t /*threshold*/,
                                          OverflowCallback /*callback*/,

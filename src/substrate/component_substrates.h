@@ -71,6 +71,9 @@ class DeltaCounterContext : public CounterContext {
   Status stop() override;
   Status read(std::span<std::uint64_t> out) override;
   Status reset_counts() override;
+  /// Samples each source once: the sample is both the value's end and
+  /// the new base.
+  Status read_and_reset(std::span<std::uint64_t> out) override;
   Status set_overflow(std::uint32_t event_index, std::uint64_t threshold,
                       OverflowCallback callback,
                       OverflowDeliveryMode mode =

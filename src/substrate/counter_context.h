@@ -61,6 +61,12 @@ class CounterContext {
   /// Values in programmed-event order.
   virtual Status read(std::span<std::uint64_t> out) = 0;
   virtual Status reset_counts() = 0;
+  /// read() and reset_counts() as one call: `out` gets the values since
+  /// the last reset, and the counters restart from zero.  A failed read
+  /// zeroes nothing.  The default makes the two calls; a context that
+  /// can zero each counter as it reads it overrides this with one pass
+  /// that gives exactly the same values and leaves the same state.
+  virtual Status read_and_reset(std::span<std::uint64_t> out);
   virtual Status set_overflow(
       std::uint32_t event_index, std::uint64_t threshold,
       OverflowCallback callback,

@@ -76,7 +76,16 @@ class FaultInjectingContext final : public CounterContext {
     return Error::kOk;
   }
 
-  Status reset_counts() override { return inner_->reset_counts(); }
+  Status reset_counts() override {
+    if (!owner_.enabled()) return inner_->reset_counts();
+    if (const Error e = owner_.consult(FaultSite::kReset);
+        e != Error::kOk) {
+      return e;
+    }
+    return inner_->reset_counts();
+  }
+  // read_and_reset() keeps the default: read() then reset_counts(), so
+  // its read and its reset each meet their own site's faults.
 
   Status set_overflow(std::uint32_t event_index, std::uint64_t threshold,
                       OverflowCallback callback,

@@ -1,13 +1,13 @@
 // Fault-injecting substrate decorator.  Wraps any Substrate (and every
 // CounterContext it hands out) and injects the partial-failure modes the
 // portable layers must survive: transient kConflict/kNoCounters from
-// program(), context-creation failures, read errors, multiplex-timer
-// misfire (dropped or delayed slices), and counter wraparound at a
-// configurable bit width (narrow hardware counters are Section 6's
-// silent-accuracy hazard).  Every fault is driven by a seeded FaultPlan —
-// per-site "fail N times then succeed" scripts plus a per-site
-// deterministic probability stream — so any observed failure sequence is
-// reproducible from (plan, call sequence) alone.
+// program(), context-creation failures, read and reset errors,
+// multiplex-timer misfire (dropped or delayed slices), and counter
+// wraparound at a configurable bit width (narrow hardware counters are
+// Section 6's silent-accuracy hazard).  Every fault is driven by a
+// seeded FaultPlan — per-site "fail N times then succeed" scripts plus a
+// per-site deterministic probability stream — so any observed failure
+// sequence is reproducible from (plan, call sequence) alone.
 //
 // The decorator is the test substrate for the retry/degradation hardening
 // in core/: the Library's bounded-retry policy, the EventSet's
@@ -40,6 +40,7 @@ enum class FaultSite : std::size_t {
   kStart,              ///< CounterContext::start
   kRead,               ///< CounterContext::read
   kAddTimer,           ///< add_timer (context and process-global)
+  kReset,              ///< CounterContext::reset_counts
   kNumSites
 };
 inline constexpr std::size_t kNumFaultSites =

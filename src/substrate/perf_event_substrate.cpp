@@ -133,7 +133,7 @@ Status PerfCounterContext::program(
       close_all();
       return status;
     }
-    fds_.push_back(Fd{fd, {}});
+    fds_.push_back(Fd{fd, 0, {}});
   }
   return Error::kOk;
 }
@@ -143,14 +143,15 @@ Status PerfCounterContext::start() {
   if (running_) return Error::kIsRunning;
   if (fds_.empty()) return Error::kInvalid;
   for (Fd& f : fds_) {
-    // Still disabled, so the times read here are where this run's
-    // interval begins.
+    // Still disabled, so the count and times read here are where this
+    // run's interval begins.
     FdReading reading;
     if (ioctl(f.fd, PERF_EVENT_IOC_RESET, 0) != 0 ||
         !read_fd(f.fd, reading) ||
         ioctl(f.fd, PERF_EVENT_IOC_ENABLE, 0) != 0) {
       return Error::kSystem;
     }
+    f.count_base = reading.value;
     f.base = reading.times;
   }
   running_ = true;
@@ -174,21 +175,44 @@ Status PerfCounterContext::read(std::span<std::uint64_t> out) {
     if (!read_fd(fds_[i].fd, reading)) return Error::kSystem;
     // Kernel-side multiplexing: scale by the duty cycle, exactly the
     // estimation core/multiplex performs for the simulated substrates.
-    out[i] = perf_scaled_count(reading.value, fds_[i].base, reading.times);
+    out[i] = perf_scaled_count(reading.value - fds_[i].count_base,
+                               fds_[i].base, reading.times);
   }
   return Error::kOk;
 }
 
 Status PerfCounterContext::reset_counts() {
-  for (Fd& f : fds_) {
-    if (ioctl(f.fd, PERF_EVENT_IOC_RESET, 0) != 0) return Error::kSystem;
-    // A reset mid-run starts the interval reads scale over; a stopped
-    // context's next start() rebases.
-    if (running_) {
-      FdReading reading;
-      if (!read_fd(f.fd, reading)) return Error::kSystem;
-      f.base = reading.times;
+  if (!running_) {
+    // The next start() latches the times.
+    for (Fd& f : fds_) {
+      if (ioctl(f.fd, PERF_EVENT_IOC_RESET, 0) != 0) return Error::kSystem;
+      f.count_base = 0;
     }
+    return Error::kOk;
+  }
+  // Mid-run: the reading starts the interval reads count and scale over.
+  for (Fd& f : fds_) {
+    FdReading reading;
+    if (!read_fd(f.fd, reading)) return Error::kSystem;
+    f.count_base = reading.value;
+    f.base = reading.times;
+  }
+  return Error::kOk;
+}
+
+Status PerfCounterContext::read_and_reset(std::span<std::uint64_t> out) {
+  if (fds_.empty()) return Error::kInvalid;
+  if (out.size() < fds_.size()) return Error::kInvalid;
+  FdReading readings[PerfEventSubstrate::kMaxEvents];
+  for (std::size_t i = 0; i < fds_.size(); ++i) {
+    if (!read_fd(fds_[i].fd, readings[i])) return Error::kSystem;
+  }
+  for (std::size_t i = 0; i < fds_.size(); ++i) {
+    Fd& f = fds_[i];
+    out[i] = perf_scaled_count(readings[i].value - f.count_base, f.base,
+                               readings[i].times);
+    f.count_base = readings[i].value;
+    f.base = readings[i].times;
   }
   return Error::kOk;
 }

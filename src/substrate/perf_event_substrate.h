@@ -60,7 +60,14 @@ class PerfCounterContext final : public CounterContext {
   /// Values scaled by time_enabled/time_running since the last start()
   /// or reset (kernel multiplexing).
   Status read(std::span<std::uint64_t> out) override;
+  /// Stopped: one PERF_EVENT_IOC_RESET per fd.  Running: one read(2)
+  /// per fd, which moves each fd's software base to its current count
+  /// and times.
   Status reset_counts() override;
+  /// One read(2) per fd: each reading is both the value's end and the
+  /// fd's new base.  Every fd is read before any base moves, so a
+  /// failed read zeroes nothing.
+  Status read_and_reset(std::span<std::uint64_t> out) override;
   Status set_overflow(std::uint32_t, std::uint64_t, OverflowCallback,
                       OverflowDeliveryMode) override {
     return Error::kNoSupport;
@@ -72,11 +79,15 @@ class PerfCounterContext final : public CounterContext {
   std::uint64_t cycles() const override;
 
  private:
-  /// One opened event and its times when its count was last reset.
-  /// An EventSet restart keeps the fds, so a read must scale by this
-  /// run's duty cycle, not by the one over the fd's lifetime.
+  /// One opened event, and its count and times when it was last reset.
+  /// A reset while running moves this software base instead of making
+  /// PERF_EVENT_IOC_RESET, so it costs one read(2), and a read reports
+  /// the count since the base.  An EventSet restart keeps the fds, so a
+  /// read must scale by this run's duty cycle, not by the one over the
+  /// fd's lifetime.
   struct Fd {
     int fd = -1;
+    std::uint64_t count_base = 0;
     PerfTimes base;
   };
 

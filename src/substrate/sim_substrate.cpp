@@ -176,8 +176,25 @@ Status SimCounterContext::read(std::span<std::uint64_t> out) {
 }
 
 Status SimCounterContext::reset_counts() {
-  pmu_.reset_counts();
+  for (const std::uint32_t counter : assignment_) {
+    if (counter < SimSubstrate::kSampledBase) pmu_.reset_count(counter);
+  }
   if (engine_ && !sampled_terms_.empty()) engine_->reset();
+  return Error::kOk;
+}
+
+Status SimCounterContext::read_and_reset(std::span<std::uint64_t> out) {
+  if (!sampled_terms_.empty()) return CounterContext::read_and_reset(out);
+  if (out.size() < events_.size()) return Error::kInvalid;
+  charge(platform_.costs.read_cost_cycles,
+         platform_.costs.read_pollute_lines);
+  // No estimated events: every assignment is a physical counter.
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    auto v = pmu_.read(assignment_[i]);
+    if (!v.ok()) return v.error();
+    out[i] = v.value();
+    pmu_.reset_count(assignment_[i]);
+  }
   return Error::kOk;
 }
 

@@ -55,7 +55,13 @@ class SimCounterContext final : public CounterContext {
   Status start() override;
   Status stop() override;
   Status read(std::span<std::uint64_t> out) override;
+  /// Zeroes the programmed counters only: program() clears the whole
+  /// file, and nothing counts on the others.
   Status reset_counts() override;
+  /// One pass that zeroes each counter as it reads it, charging one
+  /// read.  A context holding estimated (ProfileMe) events reads, then
+  /// resets: the engine's estimates cannot be rebased mid-stream.
+  Status read_and_reset(std::span<std::uint64_t> out) override;
   Status set_overflow(std::uint32_t event_index, std::uint64_t threshold,
                       OverflowCallback callback,
                       OverflowDeliveryMode mode =

@@ -27,4 +27,9 @@ Result<int> Substrate::add_timer(std::uint64_t /*period_cycles*/,
 
 Status Substrate::cancel_timer(int /*id*/) { return Error::kNoSupport; }
 
+Status CounterContext::read_and_reset(std::span<std::uint64_t> out) {
+  PAPIREPRO_RETURN_IF_ERROR(read(out));
+  return reset_counts();
+}
+
 }  // namespace papirepro::papi

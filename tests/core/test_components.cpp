@@ -308,6 +308,35 @@ TEST(ComponentEventSet, ResetAndReadAfterStopStayCoherent) {
   ASSERT_TRUE(set.stop().ok());
 }
 
+// A running direct set's accum() reads and zeroes each slice in one
+// substrate call (the sim context zeroes each counter as it reads it,
+// the mem context samples each source once): the windows it returns,
+// plus stop()'s finals, add up to the run's totals exactly.
+TEST(ComponentEventSet, AccumWindowsSumToTheRunsTotals) {
+  ComponentFixture f(sim::make_saxpy(20'000), {.charge_costs = false});
+  EventSet& set = f.new_set();
+  ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
+  ASSERT_TRUE(set.add_named("mem::L2_MISSES").ok());
+  ASSERT_TRUE(set.start().ok());
+  std::vector<long long> sum(2, 0);
+  std::vector<long long> v(2, -1);
+  int windows = 0;
+  while (!f.machine().halted()) {
+    f.machine().run(3'000);
+    ASSERT_TRUE(set.accum(sum).ok());
+    // The counters restarted from zero: a read right after sees none.
+    ASSERT_TRUE(set.read(v).ok());
+    EXPECT_EQ(v, std::vector<long long>(2, 0));
+    ++windows;
+  }
+  ASSERT_TRUE(set.stop(v).ok());
+  EXPECT_GT(windows, 10);
+  EXPECT_EQ(sum[0] + v[0], static_cast<long long>(f.machine().retired()));
+  EXPECT_EQ(sum[1] + v[1],
+            static_cast<long long>(f.machine().l2().stats().misses));
+  EXPECT_GT(sum[1], 0);
+}
+
 TEST(ComponentEventSet, RemoveEventCompactsSlices) {
   ComponentFixture f(sim::make_saxpy(2'000), {.charge_costs = false});
   EventSet& set = f.new_set();
@@ -472,6 +501,111 @@ TEST(ComponentFault, PermanentFaultOnMemSliceSurfacesWithoutDegrading) {
   fault->set_enabled(false);
   ASSERT_TRUE(set.start().ok());
   ASSERT_TRUE(set.stop().ok());
+}
+
+/// A cpu+mem set whose mem component sits behind a fault decorator
+/// running `plan`; the set is built but not started.
+struct MemFaultRig {
+  SimFixture f;
+  FaultInjectingSubstrate* fault = nullptr;  // owned by library
+  EventSet* set = nullptr;
+
+  explicit MemFaultRig(const FaultPlan& plan)
+      : f(sim::make_saxpy(40'000), pmu::sim_x86(), {.charge_costs = false}) {
+    auto wrapped = std::make_unique<FaultInjectingSubstrate>(
+        std::make_unique<MemBandwidthSubstrate>(*f.machine), plan);
+    fault = wrapped.get();
+    EXPECT_TRUE(f.library
+                    ->register_component("mem", "faulty uncore",
+                                         std::move(wrapped))
+                    .ok());
+    set = &f.new_set();
+    EXPECT_TRUE(set->add_preset(Preset::kTotIns).ok());
+    EXPECT_TRUE(set->add_named("mem::L2_MISSES").ok());
+  }
+
+  long long l2_misses() const {
+    return static_cast<long long>(f.machine->l2().stats().misses);
+  }
+};
+
+// reset() zeroes the slices in ascending order, each inside its
+// bracket, and rebases a slice's folds as soon as its counters are
+// zeroed.  A permanent mem reset fault after the cpu slice was zeroed
+// leaves the cpu values counting from the reset, trusted: the folds no
+// longer remember the pre-reset count, which a zeroed counter reads
+// below.
+TEST(ComponentFault, MemResetFaultLeavesCpuCountingFromTheReset) {
+  FaultPlan plan;
+  // start()'s reset passes; the next one fails permanently.
+  plan.at(FaultSite::kReset) = {
+      .fail_times = 1, .error = Error::kNoSupport, .fail_after = 1};
+  MemFaultRig rig(plan);
+  EventSet& set = *rig.set;
+  const long long misses_at_start = rig.l2_misses();
+  ASSERT_TRUE(set.start().ok());
+  rig.f.machine->run(20'000);
+  std::vector<long long> v(2, -1);
+  ASSERT_TRUE(set.read(v).ok());  // the folds hold the pre-reset counts
+
+  EXPECT_EQ(set.reset().error(), Error::kNoSupport);
+  EXPECT_EQ(rig.fault->injected_count(FaultSite::kReset), 1u);
+  const std::uint64_t retired_at_reset = rig.f.machine->retired();
+  rig.f.machine->run(5'000);  // fewer than before the reset
+
+  std::vector<std::uint32_t> flags(2, ~0u);
+  ASSERT_TRUE(set.read_ex(v, flags).ok());
+  EXPECT_EQ(v[0], static_cast<long long>(rig.f.machine->retired() -
+                                         retired_at_reset));
+  EXPECT_EQ(flags[0], read_flag::kValid);
+  // The mem slice was not reset: it still counts from start().
+  EXPECT_EQ(v[1], rig.l2_misses() - misses_at_start);
+  EXPECT_EQ(flags[1], read_flag::kValid);
+  EXPECT_EQ(rig.f.library->telemetry_snapshot().value(
+                TelemetryCounter::kSanityFaults),
+            0u);
+  ASSERT_TRUE(set.stop().ok());
+}
+
+// The reset bracket retries a transient fault, and refuses the reset of
+// a quarantined component.
+TEST(ComponentFault, TransientMemResetFaultIsRetried) {
+  FaultPlan plan;
+  // start()'s reset passes; the next two fail transiently (kConflict).
+  plan.at(FaultSite::kReset) = {.fail_times = 2, .fail_after = 1};
+  MemFaultRig rig(plan);
+  EventSet& set = *rig.set;
+  ASSERT_TRUE(set.start().ok());
+  rig.f.machine->run(20'000);
+
+  ASSERT_TRUE(set.reset().ok());
+  EXPECT_EQ(rig.fault->injected_count(FaultSite::kReset), 2u);
+  EXPECT_GE(rig.f.library->telemetry_snapshot().value(
+                TelemetryCounter::kRetryAttempts),
+            2u);
+  const long long misses_at_reset = rig.l2_misses();
+  const std::uint64_t retired_at_reset = rig.f.machine->retired();
+  rig.f.machine->run(5'000);
+  std::vector<long long> v(2, -1);
+  ASSERT_TRUE(set.read(v).ok());
+  EXPECT_EQ(v[0], static_cast<long long>(rig.f.machine->retired() -
+                                         retired_at_reset));
+  EXPECT_EQ(v[1], rig.l2_misses() - misses_at_reset);
+
+  // Hard down: one retry-exhausted reset quarantines mem, and the next
+  // reset is refused before it reaches the substrate.
+  HealthPolicy policy;
+  policy.max_consecutive_exhaustions = 1;
+  policy.probe_cooldown_usec = 1'000'000'000;
+  policy.probe_cooldown_max_usec = 1'000'000'000;
+  ASSERT_TRUE(rig.f.library->set_health_policy(policy).ok());
+  plan.at(FaultSite::kReset) = {.fail_times = 1 << 20};
+  rig.fault->set_plan(plan);
+  EXPECT_EQ(set.reset().error(), Error::kConflict);
+  const std::uint64_t calls = rig.fault->call_count(FaultSite::kReset);
+  EXPECT_EQ(set.reset().error(), Error::kComponentQuarantined);
+  EXPECT_EQ(rig.fault->call_count(FaultSite::kReset), calls);
+  (void)set.stop();
 }
 
 // ---- threads spanning components ---------------------------------------

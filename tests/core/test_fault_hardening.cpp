@@ -16,6 +16,7 @@
 #include "core/eventset.h"
 #include "core/library.h"
 #include "pmu/platform.h"
+#include "substrate/component_substrates.h"
 #include "substrate/fault_substrate.h"
 #include "test_util.h"
 
@@ -360,6 +361,133 @@ TEST(FaultHardening, ProbabilisticReadFaultsNeverCorruptTotals) {
         << "seed " << seed;
     EXPECT_GT(f.fault->injected_count(FaultSite::kRead), 0u);
   }
+}
+
+/// A cpu+mem set (TOT_INS, mem::L2_MISSES) with both components behind
+/// fault decorators, retries on and a health policy that never
+/// quarantines.  Built with injection off, so start()'s own reset is
+/// not under test; fault() turns it on.
+struct ConservationRig {
+  FaultFixture f;
+  FaultInjectingSubstrate* mem = nullptr;  // owned by library
+  EventSet* set = nullptr;
+  std::uint64_t retired_at_start = 0;
+  std::uint64_t misses_at_start = 0;
+
+  ConservationRig(const FaultPlan& cpu_plan, const FaultPlan& mem_plan)
+      : f(sim::make_saxpy(60'000), pmu::sim_x86(), cpu_plan,
+          {.charge_costs = false}) {
+    auto wrapped = std::make_unique<FaultInjectingSubstrate>(
+        std::make_unique<MemBandwidthSubstrate>(*f.machine), mem_plan);
+    mem = wrapped.get();
+    EXPECT_TRUE(f.library
+                    ->register_component("mem", "faulty uncore",
+                                         std::move(wrapped))
+                    .ok());
+    HealthPolicy never;
+    never.max_consecutive_exhaustions = ~0u;
+    never.window_min_ops = 0;  // no failure-rate trip either
+    EXPECT_TRUE(f.library->set_health_policy(never).ok());
+    EXPECT_TRUE(f.library->set_retry_policy({3, 0}).ok());
+    set = &f.new_set();
+    EXPECT_TRUE(set->add_named("PAPI_TOT_INS").ok());
+    EXPECT_TRUE(set->add_named("mem::L2_MISSES").ok());
+    fault(false);
+    retired_at_start = f.machine->retired();
+    misses_at_start = f.machine->l2().stats().misses;
+    EXPECT_TRUE(set->start().ok());
+    fault(true);
+  }
+
+  void fault(bool enabled) {
+    f.fault->set_enabled(enabled);
+    mem->set_enabled(enabled);
+  }
+
+  /// Stops fault-free (a failing final read would serve latched
+  /// values) and checks that `sum` plus stop()'s finals are the
+  /// machine's totals since start().
+  void expect_conserved(std::vector<long long> sum) {
+    fault(false);
+    std::vector<long long> finals(2, -1);
+    ASSERT_TRUE(set->stop(finals).ok());
+    EXPECT_EQ(sum[0] + finals[0],
+              static_cast<long long>(f.machine->retired() -
+                                     retired_at_start));
+    EXPECT_EQ(sum[1] + finals[1],
+              static_cast<long long>(f.machine->l2().stats().misses -
+                                     misses_at_start));
+  }
+};
+
+// Conservation under faults: an accum either zeroes a slice and returns
+// its values or leaves it counting from its old zero point, so the
+// values every accum adds, plus stop()'s finals, are the machine's
+// totals exactly — whichever reads and resets fail, and whether an
+// accum fails before the cpu slice, or after it at the mem slice.
+TEST(FaultHardening, AccumConservesCountsUnderReadAndResetFaults) {
+  for (const std::uint64_t seed : fault_seeds()) {
+    SCOPED_TRACE(seed);
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.at(FaultSite::kRead) = {0, /*probability=*/0.25, Error::kSystem};
+    plan.at(FaultSite::kReset) = {0, /*probability=*/0.25, Error::kSystem};
+    FaultPlan mem_plan = plan;
+    mem_plan.seed = seed ^ 0x3e3e3e3eULL;
+    ConservationRig rig(plan, mem_plan);
+    std::vector<long long> sum(2, 0);
+    std::vector<long long> v(2);
+    int failed_accums = 0;
+    while (!rig.f.machine->halted()) {
+      rig.f.machine->run(1'500);
+      (void)rig.set->read(v);  // reads between accums draw faults too
+      failed_accums += !rig.set->accum(sum).ok();
+    }
+    rig.expect_conserved(sum);
+    EXPECT_GT(failed_accums, 0);
+    EXPECT_GT(rig.f.fault->injected_count(FaultSite::kReset), 0u);
+    EXPECT_GT(rig.mem->injected_count(FaultSite::kReset), 0u);
+  }
+}
+
+// The scripted case: the mem slice's reset fails for good after its
+// read succeeded, once the cpu slice was zeroed.  The cpu values go into
+// `inout`, the mem values do not, and the cpu slice counts on from the
+// accum with trusted folds.
+TEST(FaultHardening, AccumKeepsTheZeroedSliceWhenALaterSliceFails) {
+  FaultPlan mem_plan;
+  // The first accum's reset passes; the second accum's three attempts
+  // fail (start()'s reset ran with injection off).
+  mem_plan.at(FaultSite::kReset) = {
+      .fail_times = 3, .error = Error::kSystem, .fail_after = 1};
+  ConservationRig rig(FaultPlan{}, mem_plan);
+  sim::Machine& m = *rig.f.machine;
+  std::vector<long long> sum(2, 0);
+  m.run(10'000);
+  ASSERT_TRUE(rig.set->accum(sum).ok());
+  const long long misses_at_accum =
+      static_cast<long long>(m.l2().stats().misses);
+  m.run(10'000);
+  EXPECT_EQ(rig.set->accum(sum).error(), Error::kSystem);
+  EXPECT_EQ(rig.mem->injected_count(FaultSite::kReset), 3u);
+  const auto retired = [&] {
+    return static_cast<long long>(m.retired() - rig.retired_at_start);
+  };
+  EXPECT_EQ(sum[0], retired());
+  EXPECT_EQ(sum[1], misses_at_accum - static_cast<long long>(
+                                          rig.misses_at_start));
+
+  m.run(2'000);
+  std::vector<long long> v(2, -1);
+  std::vector<std::uint32_t> flags(2, ~0u);
+  ASSERT_TRUE(rig.set->read_ex(v, flags).ok());
+  EXPECT_EQ(v[0], retired() - sum[0]);
+  EXPECT_EQ(v[1],
+            static_cast<long long>(m.l2().stats().misses) - misses_at_accum);
+  EXPECT_EQ(flags, std::vector<std::uint32_t>(2, read_flag::kValid));
+  ASSERT_TRUE(rig.set->accum(sum).ok());
+  m.run();
+  rig.expect_conserved(sum);
 }
 
 }  // namespace

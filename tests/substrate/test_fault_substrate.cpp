@@ -186,6 +186,44 @@ TEST(FaultSubstrate, TimerFaultsScriptable) {
   EXPECT_GT(fires, 0);
 }
 
+// A kReset fault fails reset_counts() before it reaches the inner
+// context, so the counts survive it.  The decorator keeps the default
+// read_and_reset() — its own read() then its own reset_counts() — so
+// that call meets both sites' faults, and a failed one zeroes nothing.
+TEST(FaultSubstrate, ResetFaultLeavesTheCounts) {
+  FaultPlan plan;
+  plan.at(FaultSite::kReset) = {/*fail_times=*/2, /*probability=*/0.0,
+                                Error::kSystem};
+  FaultFixture f(sim::make_empty_loop(10'000), pmu::sim_x86(), plan,
+                 {.charge_costs = false});
+  const pmu::NativeEventCode events[] = {
+      f.substrate->native_by_name("INST_RETIRED").value()};
+  const std::uint32_t counters[] = {0};
+  auto context = f.fault->create_context();
+  ASSERT_TRUE(context.ok());
+  CounterContext& ctx = *context.value();
+  ASSERT_TRUE(ctx.program(events, counters).ok());
+  ASSERT_TRUE(ctx.start().ok());
+  f.machine->run(1'000);
+
+  std::uint64_t v = 0;
+  EXPECT_EQ(ctx.reset_counts().error(), Error::kSystem);
+  ASSERT_TRUE(ctx.read({&v, 1}).ok());
+  EXPECT_EQ(v, 1'000u);
+  v = 0;
+  EXPECT_EQ(ctx.read_and_reset({&v, 1}).error(), Error::kSystem);
+  ASSERT_TRUE(ctx.read({&v, 1}).ok());
+  EXPECT_EQ(v, 1'000u);
+  v = 0;
+  ASSERT_TRUE(ctx.read_and_reset({&v, 1}).ok());
+  EXPECT_EQ(v, 1'000u);
+  ASSERT_TRUE(ctx.read({&v, 1}).ok());
+  EXPECT_EQ(v, 0u);
+  EXPECT_EQ(f.fault->injected_count(FaultSite::kReset), 2u);
+  EXPECT_EQ(f.fault->call_count(FaultSite::kReset), 3u);
+  EXPECT_EQ(f.fault->call_count(FaultSite::kRead), 5u);
+}
+
 TEST(FaultSubstrate, TimerDropSwallowsFiringsDeterministically) {
   auto count_fires = [](double drop, std::uint64_t seed) {
     FaultPlan plan;

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 #include <linux/perf_event.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <string>
@@ -278,6 +280,56 @@ TEST(PerfEvent, LibraryRestartsKeepTheirFds) {
     EXPECT_GT(values[0], 0) << i;  // task-clock, ns
   }
   EXPECT_EQ(fault->call_count(FaultSite::kProgram), 1u);
+}
+
+/// Writes one byte to each of `pages` pages from `base`.  Not
+/// instrumented: under AddressSanitizer each store would also fault in
+/// the shadow page of every eight pages touched.
+__attribute__((no_sanitize("address"))) void touch_pages(
+    void* base, std::size_t pages, std::size_t page) {
+  auto* bytes = static_cast<volatile char*>(base);
+  for (std::size_t p = 0; p < pages; ++p) bytes[p * page] = 1;
+}
+
+// Accum windows against a real kernel: between two accums, N fresh
+// anonymous pages each touched once are N page faults (host_counters
+// reads 8193 for 8192 pages: the loop's own code and stack may fault
+// too), and a window with no touches holds almost none.  Each accum
+// reads and rebases every fd in one read(2) apiece.
+TEST(PerfEvent, AccumCountsTouchedPages) {
+  auto perf = std::make_unique<PerfEventSubstrate>();
+  if (!perf->available()) GTEST_SKIP() << "perf_event unavailable";
+  Library library(std::move(perf));
+  EventSet* set =
+      library.event_set(library.create_event_set().value()).value();
+  ASSERT_TRUE(set->add_named("PERF_COUNT_SW_PAGE_FAULTS").ok());
+  ASSERT_TRUE(set->add_named("PERF_COUNT_SW_TASK_CLOCK").ok());
+
+  constexpr std::size_t kPages = 2048;
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<long long> window(2, 0);
+  ASSERT_TRUE(set->start().ok());
+  ASSERT_TRUE(set->accum(window).ok());  // warms the accum path's pages
+
+  window.assign(2, 0);
+  ASSERT_TRUE(set->accum(window).ok());
+  window.assign(2, 0);
+  void* mem = mmap(nullptr, kPages * page, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  // Huge pages would fault once per 2 MiB, not once per page.
+  (void)madvise(mem, kPages * page, MADV_NOHUGEPAGE);
+  touch_pages(mem, kPages, page);
+  ASSERT_TRUE(set->accum(window).ok());
+  EXPECT_GE(window[0], static_cast<long long>(kPages));
+  EXPECT_LE(window[0], static_cast<long long>(kPages) + 2);
+  EXPECT_GT(window[1], 0);  // task-clock, ns
+
+  window.assign(2, 0);
+  ASSERT_TRUE(set->accum(window).ok());
+  EXPECT_LE(window[0], 2);
+  ASSERT_TRUE(set->stop().ok());
+  munmap(mem, kPages * page);
 }
 
 // The kernel never resets an fd's enabled and running times, and a

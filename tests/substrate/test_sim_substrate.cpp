@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <memory>
+#include <string_view>
+#include <vector>
+
 #include "core/library.h"
 #include "sim/kernels.h"
 #include "test_util.h"
@@ -179,6 +184,95 @@ TEST(SimSubstrate, OverflowRoutesThroughEventIndex) {
   EXPECT_GE(m.overhead_cycles(),
             static_cast<std::uint64_t>(fires) *
                 p.costs.overflow_handler_cost_cycles);
+}
+
+/// Two identical costed machines over `platform`, one context on each,
+/// programmed with `names` and started.  `split` makes read() then
+/// reset_counts() wherever `fused` makes read_and_reset().
+struct ResetPair {
+  test::SimFixture fused_rig;
+  test::SimFixture split_rig;
+  std::unique_ptr<CounterContext> fused;
+  std::unique_ptr<CounterContext> split;
+
+  ResetPair(const pmu::PlatformDescription& platform,
+            std::initializer_list<std::string_view> names,
+            bool estimation = false)
+      : fused_rig(sim::make_saxpy(40'000), platform),
+        split_rig(sim::make_saxpy(40'000), platform) {
+    std::vector<pmu::NativeEventCode> events;
+    for (const std::string_view name : names) {
+      events.push_back(code_of(platform, name));
+    }
+    for (test::SimFixture* rig : {&fused_rig, &split_rig}) {
+      if (estimation) EXPECT_TRUE(rig->substrate->set_estimation(true).ok());
+      auto assignment = rig->substrate->allocate(events, {});
+      EXPECT_TRUE(assignment.ok());
+      auto ctx = rig->substrate->create_context().value();
+      EXPECT_TRUE(ctx->program(events, assignment.value()).ok());
+      (rig == &fused_rig ? fused : split) = std::move(ctx);
+    }
+  }
+
+  /// Runs both machines `n` instructions, then takes one window from
+  /// each context; the two windows must match.
+  std::vector<std::uint64_t> window(std::uint64_t n, std::size_t events) {
+    fused_rig.machine->run(n);
+    split_rig.machine->run(n);
+    std::vector<std::uint64_t> a(events), b(events);
+    EXPECT_TRUE(fused->read_and_reset(a).ok());
+    EXPECT_TRUE(split->read(b).ok());
+    EXPECT_TRUE(split->reset_counts().ok());
+    EXPECT_EQ(a, b);
+    return a;
+  }
+};
+
+// read_and_reset() is read() then reset_counts() in one pass: the same
+// values, the same charged read cost, the same clock, and each armed
+// overflow's period restarted at every reset, as reset_counts() does.
+TEST(SimSubstrate, ReadAndResetMatchesReadThenReset) {
+  ResetPair pair(pmu::sim_x86(), {"CPU_CLK_UNHALTED", "INST_RETIRED"});
+  int fires[2] = {0, 0};
+  for (int side = 0; side < 2; ++side) {
+    CounterContext& ctx = side == 0 ? *pair.fused : *pair.split;
+    // 1200 < 1500 instructions a window: one overflow per window when
+    // the period restarts, a drifting count when it does not.
+    ASSERT_TRUE(ctx.set_overflow(1, 1'200,
+                                 [&fires, side](const SubstrateOverflow&) {
+                                   ++fires[side];
+                                 })
+                    .ok());
+    ASSERT_TRUE(ctx.start().ok());
+  }
+  int windows = 0;
+  while (!pair.fused_rig.machine->halted()) {
+    const auto v = pair.window(1'500, 2);
+    if (!pair.fused_rig.machine->halted()) EXPECT_EQ(v[1], 1'500u);
+    ++windows;
+  }
+  EXPECT_GT(windows, 50);
+  EXPECT_EQ(fires[0], fires[1]);
+  EXPECT_GE(fires[0], windows - 2);  // the last window may be short
+  EXPECT_EQ(pair.fused_rig.machine->cycles(),
+            pair.split_rig.machine->cycles());
+  EXPECT_EQ(pair.fused_rig.machine->overhead_cycles(),
+            pair.split_rig.machine->overhead_cycles());
+}
+
+// A context holding estimated (ProfileMe) events reads, then resets.
+TEST(SimSubstrate, ReadAndResetWithEstimatedEventsReadsThenResets) {
+  ResetPair pair(pmu::sim_alpha(), {"RETIRED_INSTRUCTIONS", "PME_FMA"},
+                 /*estimation=*/true);
+  ASSERT_TRUE(pair.fused->start().ok());
+  ASSERT_TRUE(pair.split->start().ok());
+  std::uint64_t fma = 0;
+  while (!pair.fused_rig.machine->halted()) {
+    fma += pair.window(20'000, 2)[1];
+  }
+  EXPECT_GT(fma, 0u);
+  EXPECT_EQ(pair.fused_rig.machine->cycles(),
+            pair.split_rig.machine->cycles());
 }
 
 TEST(SimSubstrate, TimersTrackMachineClock) {
