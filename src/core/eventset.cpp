@@ -453,8 +453,11 @@ void EventSet::disarm() {
 void EventSet::preallocate_scratch() {
   // Size every buffer the running paths touch, so read()/accum()/stop()
   // and the mux slice rotation reuse capacity instead of allocating.
-  raw_.assign(natives_.size(), 0);
-  scratch_values_.assign(entries_.size(), 0);
+  // raw_ and scratch_values_ need no zeroing: every read pass and stop()
+  // overwrite them before anything reads them (DESIGN.md, "What else a
+  // restart skips"), so an unchanged set's restart only compares sizes.
+  raw_.resize(natives_.size());
+  scratch_values_.resize(entries_.size());
   std::size_t max_group = 0;
   for (const MuxGroupPlan& plan : mux_plans_) {
     max_group = std::max(max_group, plan.members.size());
@@ -536,7 +539,7 @@ Status EventSet::start() {
     // never sleeps in backoff on a dead component).
     for (const ComponentSlice& slice : slices_) {
       attributed_component_ = slice.component;
-      PAPIREPRO_RETURN_IF_ERROR(library_.health_admit(slice.component));
+      PAPIREPRO_RETURN_IF_ERROR(slice.comp->health.admit());
     }
     PAPIREPRO_RETURN_IF_ERROR(program_and_arm(programmed));
     for (ComponentSlice& slice : slices_) {
@@ -558,7 +561,7 @@ Status EventSet::start() {
     return abort_start(started);
   }
   for (const ComponentSlice& slice : slices_) {
-    library_.health_record(slice.component, Error::kOk);
+    slice.comp->health.record(Error::kOk);
   }
   if (!multiplex_) tstate.programmed = program_id_;
   state_ = State::kRunning;
@@ -570,13 +573,13 @@ Status EventSet::start() {
   // overhead; the wall window is its denominator.
   overhead_base_ = context_->overhead_cycles();
   window_base_ = context_->cycles();
-  library_.telemetry().bump(TelemetryCounter::kStarts);
+  TelemetryRegistry& telemetry = library_.telemetry();
+  telemetry.bump(TelemetryCounter::kStarts);
   for (const ComponentSlice& slice : slices_) {
-    library_.telemetry().bump_component(slice.component,
-                                        ComponentCounter::kStarts);
+    telemetry.bump_component(slice.component, ComponentCounter::kStarts);
   }
-  library_.telemetry().trace_instant(TraceEventKind::kStart, window_base_,
-                                     static_cast<std::uint64_t>(handle_));
+  telemetry.trace_instant(TraceEventKind::kStart, window_base_,
+                          static_cast<std::uint64_t>(handle_));
 
   if (async_active_) {
     // The dispatch closure owns a snapshot of the armed configs (each a
@@ -603,15 +606,15 @@ Status EventSet::start() {
   // width; the accumulators live in folds_ (zeroed by
   // preallocate_scratch above), the masks per slice.
   for (ComponentSlice& slice : slices_) {
-    const std::uint32_t width =
-        library_.component_substrate(slice.component)->counter_width_bits();
+    const std::uint32_t width = slice.comp->substrate->counter_width_bits();
     slice.wrap_mask = width < 64 ? (1ULL << width) - 1 : ~0ULL;
   }
 
   // Counters are at the post-reset zero point: publish it so batch
   // readers on other threads see this set as running-from-zero rather
-  // than serving the previous run's finals.
-  publish_values(kZeroValues, kPubRunning);
+  // than serving the previous run's finals.  Nothing since the window
+  // mark advanced the clock, so it stamps the publication.
+  publish_values(kZeroValues, kPubRunning, window_base_);
 
   if (multiplex_) {
     mux_window_start_ = mux_slice_start_ = context_->cycles();
@@ -835,9 +838,14 @@ inline void EventSet::publish_values(std::span<const long long> values,
   // stops advancing belongs to a stalled or dead rank).  The running
   // context's clock is authoritative while live; a stopped set has
   // released it, so fall back to the library's timer substrate.
-  const std::uint64_t now = context_ != nullptr
-                                ? context_->cycles()
-                                : library_.real_cycles();
+  publish_values(values, pub_state,
+                 context_ != nullptr ? context_->cycles()
+                                     : library_.real_cycles());
+}
+
+inline void EventSet::publish_values(std::span<const long long> values,
+                                     std::uint32_t pub_state,
+                                     std::uint64_t now) noexcept {
   Published& p = published_;
   const std::size_t n = std::min(calc_.size(), kMaxPublishedValues);
   const NativeFold* folds = folds_.data();
@@ -1067,17 +1075,17 @@ Status EventSet::stop(std::span<long long> out) {
   if (clock_now > window_base_) {
     total_window_cycles_ += clock_now - window_base_;
   }
-  library_.telemetry().bump(TelemetryCounter::kStops);
+  TelemetryRegistry& telemetry = library_.telemetry();
+  telemetry.bump(TelemetryCounter::kStops);
   for (const ComponentSlice& slice : slices_) {
-    library_.telemetry().bump_component(slice.component,
-                                        ComponentCounter::kStops);
+    telemetry.bump_component(slice.component, ComponentCounter::kStops);
   }
-  library_.telemetry().trace_instant(TraceEventKind::kStop, clock_now,
-                                     static_cast<std::uint64_t>(handle_));
+  telemetry.trace_instant(TraceEventKind::kStop, clock_now,
+                          static_cast<std::uint64_t>(handle_));
 
   // Publish the final totals so batched readers on other threads keep
   // seeing this set's values after it stops.
-  publish_values(scratch_values_, kPubStopped);
+  publish_values(scratch_values_, kPubStopped, clock_now);
   library_.release_context(this);
   context_ = nullptr;
   for (ComponentSlice& slice : slices_) slice.context = nullptr;

@@ -286,7 +286,9 @@ class EventSet {
   Status program_and_arm(bool programmed);
   /// Sizes every steady-state buffer (the raw snapshot, mux live-slice
   /// reads, the values accum()/stop() compute) so the running paths
-  /// perform no heap allocation after start().
+  /// perform no heap allocation after start(), and restarts the folds
+  /// from zero.  The raw snapshot and the values keep their contents:
+  /// every pass overwrites them before they are read.
   void preallocate_scratch();
   /// The one path behind set_overflow() and profil(): makes their shared
   /// rejections, then stamps `config` with `id` and `threshold` and
@@ -357,6 +359,11 @@ class EventSet {
   /// thread only).  Flags come from folds_' current read flags.
   [[gnu::always_inline]] void publish_values(
       std::span<const long long> values, std::uint32_t pub_state) noexcept;
+  /// Same, stamped with `now`: start() and stop() pass the clock read
+  /// they already made for overhead attribution.
+  [[gnu::always_inline]] void publish_values(
+      std::span<const long long> values, std::uint32_t pub_state,
+      std::uint64_t now) noexcept;
   /// Invalidates the publication (membership changed / snapshot
   /// dropped) without touching folds_ — safe mid-rebuild.
   void publish_clear() noexcept;

@@ -106,12 +106,6 @@ class Library {
   HealthPolicy health_policy() const;
   /// Point-in-time health of one component.
   Result<ComponentHealth> component_health(std::uint32_t id) const;
-  /// Gate before touching `component`'s substrate: kOk, or
-  /// kComponentQuarantined fail-fast while its breaker is open.
-  Status health_admit(std::uint32_t component) noexcept {
-    Component* c = components_.at(component);
-    return c != nullptr ? c->health.admit() : Status(Error::kNoComponent);
-  }
   /// Feeds an operation's final (post-retry) outcome back into
   /// `component`'s breaker.
   void health_record(std::uint32_t component, Error outcome) noexcept {

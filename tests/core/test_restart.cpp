@@ -291,6 +291,210 @@ TEST(Restart, ThreadReusingAnUnregisteredSlotCountsExactly) {
   EXPECT_EQ(count_once(), 1000);
 }
 
+// --- what a restart still does -----------------------------------------
+// A restart skips bookkeeping that was repeated or never needed: its
+// publications reuse the clock reads it makes for overhead attribution,
+// its raw and value buffers are resized rather than zeroed (only the
+// folds restart from zero), and its health bracket reaches each
+// component through its slice.  These pin it to what a set that did
+// all of that produces.
+
+/// A cpu+mem set {PAPI_TOT_INS, PAPI_TOT_CYC, mem::BANDWIDTH_RD} on
+/// sim-x86 running saxpy.
+struct CpuMemRig {
+  SimFixture f;
+  std::uint32_t mem = 0;
+  EventSet* set = nullptr;
+
+  explicit CpuMemRig(bool charge_costs)
+      : f(sim::make_saxpy(1'000'000), pmu::sim_x86(),
+          {.charge_costs = charge_costs}) {
+    mem = f.library
+              ->register_component(
+                  "mem", "uncore counters",
+                  std::make_unique<MemBandwidthSubstrate>(*f.machine))
+              .value();
+    set = &f.new_set();
+    EXPECT_TRUE(set->add_preset(Preset::kTotIns).ok());
+    EXPECT_TRUE(set->add_preset(Preset::kTotCyc).ok());
+    EXPECT_TRUE(set->add_named("mem::BANDWIDTH_RD").ok());
+  }
+};
+
+TEST(Restart, EachRestartCountsOneStartAndOneStopPerComponent) {
+  CpuMemRig rig(/*charge_costs=*/false);
+  EventSet& set = *rig.set;
+  ASSERT_TRUE(set.start().ok());
+  TelemetrySnapshot before = rig.f.library->telemetry_snapshot();
+  for (int r = 0; r < 5; ++r) {
+    rig.f.machine->run(kChunk);
+    ASSERT_TRUE(set.stop().ok());
+    ASSERT_TRUE(set.start().ok());
+    const TelemetrySnapshot after = rig.f.library->telemetry_snapshot();
+    const auto delta = [&](TelemetryCounter c) {
+      return after.value(c) - before.value(c);
+    };
+    EXPECT_EQ(delta(TelemetryCounter::kStarts), 1u) << r;
+    EXPECT_EQ(delta(TelemetryCounter::kStops), 1u) << r;
+    EXPECT_EQ(delta(TelemetryCounter::kReads), 0u) << r;
+    for (const std::uint32_t c : {0u, rig.mem}) {
+      const auto cdelta = [&](ComponentCounter cc) {
+        return after.component_value(c, cc) - before.component_value(c, cc);
+      };
+      EXPECT_EQ(cdelta(ComponentCounter::kStarts), 1u) << c << " " << r;
+      EXPECT_EQ(cdelta(ComponentCounter::kStops), 1u) << c << " " << r;
+      EXPECT_EQ(cdelta(ComponentCounter::kReads), 0u) << c << " " << r;
+    }
+    before = after;
+  }
+  ASSERT_TRUE(set.stop().ok());
+}
+
+TEST(Restart, PublicationsCarryTheStartAndStopClocks) {
+  // Costs on: start() and stop() advance the machine's clock, and their
+  // publications must carry the clock as each call left it.
+  CpuMemRig rig(/*charge_costs=*/true);
+  EventSet& set = *rig.set;
+  std::vector<SnapshotEntry> entries;
+  std::vector<long long> values;
+  // Polls from another thread, as a collector does, and returns the
+  // set's entry and values.
+  const auto poll = [&](std::vector<long long>& got) {
+    std::thread t([&] { (void)rig.f.library->snapshot_all(entries, values); });
+    t.join();
+    for (const SnapshotEntry& e : entries) {
+      if (e.handle != set.handle()) continue;
+      got.assign(values.begin() + e.first_value,
+                 values.begin() + e.first_value + e.num_values);
+      return e;
+    }
+    ADD_FAILURE() << "the set is missing from the snapshot";
+    return SnapshotEntry{};
+  };
+  std::vector<long long> finals(set.num_events());
+  std::vector<long long> got;
+  for (int r = 0; r < 4; ++r) {
+    const std::uint64_t idle = rig.f.machine->cycles();
+    ASSERT_TRUE(set.start().ok());
+    const std::uint64_t started = rig.f.machine->cycles();
+    EXPECT_GT(started, idle) << r;  // the start's costs were charged
+    SnapshotEntry e = poll(got);
+    EXPECT_EQ(e.status, Error::kOk) << r;
+    EXPECT_NE(e.flags & read_flag::kPublished, 0u) << r;
+    EXPECT_EQ(got, std::vector<long long>(set.num_events(), 0)) << r;
+    EXPECT_EQ(e.pub_cycles, started) << r;
+
+    rig.f.machine->run(kChunk);
+    ASSERT_TRUE(set.stop(finals).ok());
+    const std::uint64_t stopped = rig.f.machine->cycles();
+    EXPECT_GT(finals[0], 0) << r;
+    e = poll(got);
+    EXPECT_EQ(e.status, Error::kOk) << r;
+    EXPECT_NE(e.flags & read_flag::kPublished, 0u) << r;
+    EXPECT_EQ(got, finals) << r;
+    EXPECT_EQ(e.pub_cycles, stopped) << r;
+  }
+}
+
+/// Two rounds on a fresh machine: {PAPI_TOT_INS, PAPI_TOT_CYC}, then
+/// {PAPI_TOT_INS, PAPI_LD_INS}, which has as many natives.  With
+/// `reuse` the second round swaps one preset in the first round's set
+/// and restarts it; without, a new set counts it.  Returns the second
+/// round's read_ex() values and flags and its stop() values.
+std::vector<long long> count_after_swap(bool reuse) {
+  SimFixture f(sim::make_saxpy(50'000), pmu::sim_x86(),
+               {.charge_costs = false});
+  EXPECT_FALSE(f.substrate->preset_mapping(Preset::kTotCyc).value().derived());
+  EXPECT_FALSE(f.substrate->preset_mapping(Preset::kLdIns).value().derived());
+  EventSet* set = &f.new_set();
+  EXPECT_TRUE(set->add_preset(Preset::kTotIns).ok());
+  EXPECT_TRUE(set->add_preset(Preset::kTotCyc).ok());
+  EXPECT_TRUE(set->start().ok());
+  f.machine->run(kChunk);
+  EXPECT_TRUE(set->stop().ok());
+  if (reuse) {
+    EXPECT_TRUE(set->remove_event(EventId::preset(Preset::kTotCyc)).ok());
+  } else {
+    set = &f.new_set();
+    EXPECT_TRUE(set->add_preset(Preset::kTotIns).ok());
+  }
+  EXPECT_TRUE(set->add_preset(Preset::kLdIns).ok());
+
+  std::vector<long long> out;
+  std::vector<long long> v(2);
+  std::vector<std::uint32_t> flags(2);
+  const std::uint64_t ins = f.machine->retired();
+  EXPECT_TRUE(set->start().ok());
+  f.machine->run(kChunk);
+  EXPECT_TRUE(set->read_ex(v, flags).ok());
+  EXPECT_EQ(v[0], static_cast<long long>(f.machine->retired() - ins));
+  out.insert(out.end(), v.begin(), v.end());
+  out.insert(out.end(), flags.begin(), flags.end());
+  f.machine->run(kChunk);
+  EXPECT_TRUE(set->stop(v).ok());
+  EXPECT_EQ(v[0], static_cast<long long>(f.machine->retired() - ins));
+  EXPECT_GT(v[1], 0);
+  out.insert(out.end(), v.begin(), v.end());
+  return out;
+}
+
+TEST(Restart, SwappedMembershipWithTheSameNativeCountCountsExactly) {
+  EXPECT_EQ(count_after_swap(/*reuse=*/true), count_after_swap(false));
+}
+
+/// Three rounds of a six-event multiplexed set on a fresh machine, each
+/// by restarting one set (`restart`) or by a new set per round; returns
+/// every round's stop() values.
+std::vector<long long> mux_rounds(bool restart) {
+  SimFixture f(sim::make_saxpy(400'000), pmu::sim_x86(),
+               {.charge_costs = false});
+  std::vector<long long> out;
+  EventSet* set = nullptr;
+  for (int r = 0; r < 3; ++r) {
+    if (set == nullptr || !restart) {
+      set = &f.new_set();
+      EXPECT_TRUE(set->enable_multiplex(10'000).ok());
+      for (const char* name : {"PAPI_FMA_INS", "PAPI_LD_INS", "PAPI_SR_INS",
+                               "PAPI_TOT_INS", "PAPI_BR_INS",
+                               "PAPI_L1_DCA"}) {
+        EXPECT_TRUE(set->add_named(name).ok()) << name;
+      }
+      EXPECT_GE(set->num_mux_groups(), 2u);
+    }
+    std::vector<long long> v(set->num_events());
+    EXPECT_TRUE(set->start().ok());
+    f.machine->run(200'000);
+    EXPECT_TRUE(set->stop(v).ok());
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  return out;
+}
+
+TEST(Restart, MultiplexedRestartCountsLikeANewSet) {
+  // A multiplexed set reprograms on every start, and its estimates
+  // start from zero although its raw buffer keeps the last run's.
+  const std::vector<long long> restarted = mux_rounds(/*restart=*/true);
+  EXPECT_EQ(restarted, mux_rounds(false));
+  for (const long long v : restarted) EXPECT_GT(v, 0);
+}
+
+TEST(Restart, RestartAllocatesNothingAfterWarmUp) {
+  CpuMemRig rig(/*charge_costs=*/false);
+  EventSet& set = *rig.set;
+  std::vector<long long> v(set.num_events());
+  ASSERT_TRUE(set.start().ok());
+  const auto restart_once = [&] {
+    rig.f.machine->run(64);
+    EXPECT_TRUE(set.stop(v).ok());
+    EXPECT_TRUE(set.start().ok());
+  };
+  for (int i = 0; i < 64; ++i) restart_once();
+  papirepro::test::AllocationGuard guard;
+  for (int i = 0; i < 1000; ++i) restart_once();
+  EXPECT_EQ(guard.delta(), 0u);
+  ASSERT_TRUE(set.stop().ok());
+}
+
 // Under TSan in CI (the Threading.* filter): the tag lives in each
 // thread's own registry slot, so eight threads restarting their own
 // sets never share it.

@@ -1,6 +1,8 @@
 #include "substrate/host_substrate.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <thread>
 
@@ -56,12 +58,26 @@ TEST(HostSubstrate, MemoryInfoPopulated) {
 
 TEST(HostSubstrate, PeakGrowsWithAllocation) {
   HostSubstrate sub;
-  const auto before = sub.memory_info().value().process_peak_bytes;
-  std::vector<char> hog(32 * 1024 * 1024, 1);
-  // Touch to force residency.
-  for (std::size_t i = 0; i < hog.size(); i += 4096) hog[i] = 2;
+  const MemoryInfo before = sub.memory_info().value();
+  // Earlier work in this process may have left the peak far above what
+  // is resident now, so a fixed-size block could fit under it.  Fresh
+  // pages covering that gap plus 32 MiB, each touched, must lift the
+  // peak wherever the test runs.
+  constexpr std::size_t kMiB = 1024 * 1024;
+  const std::size_t gap =
+      before.process_peak_bytes > before.process_resident_bytes
+          ? before.process_peak_bytes - before.process_resident_bytes
+          : 0;
+  const std::size_t bytes = gap + 32 * kMiB;
+  void* block = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(block, MAP_FAILED);
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  volatile char* touch = static_cast<char*>(block);
+  for (std::size_t i = 0; i < bytes; i += page) touch[i] = 1;
   const auto after = sub.memory_info().value().process_peak_bytes;
-  EXPECT_GE(after, before + 16 * 1024 * 1024);
+  munmap(block, bytes);
+  EXPECT_GE(after, before.process_peak_bytes + 16 * kMiB);
 }
 
 }  // namespace
