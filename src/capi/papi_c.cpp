@@ -748,7 +748,7 @@ int PAPIrepro_read_many(const int* event_sets, int count, long long* values,
   // allocate nothing once the capacity is warm.
   thread_local std::vector<papi::SnapshotEntry> scratch;
   scratch.assign(static_cast<std::size_t>(count), {});
-  const Status s = g().library->read_many_handles(
+  const Status s = g().library->read_many(
       {event_sets, static_cast<std::size_t>(count)},
       {values, static_cast<std::size_t>(values_capacity)}, scratch);
   if (!s.ok()) return to_code(s);

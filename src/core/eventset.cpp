@@ -9,8 +9,8 @@
 
 namespace papirepro::papi {
 
-EventSet::EventSet(Library& library, int handle)
-    : library_(library), handle_(handle) {}
+EventSet::EventSet(Library& library, int handle, Published& published)
+    : library_(library), handle_(handle), published_(published) {}
 
 EventSet::~EventSet() {
   // A set destroyed while its ring is still registered would leave the
@@ -391,25 +391,20 @@ Status EventSet::arm_overflow(std::size_t config_index) {
     // allocation-free ring enqueue; the aggregator runs the heavy half.
     // The callback co-owns the ring — a late delivery after this run's
     // ring is replaced pushes into a detached (but live) ring and is
-    // simply never drained.
+    // simply never drained.  The ring counts its own pushes and drops.
+    // No trace record here: tracing reads the counting thread's clock,
+    // and deferred delivery may run elsewhere.
     std::shared_ptr<SpscRing<SampleRecord>> ring = sample_ring_;
     const auto idx = static_cast<std::uint32_t>(config_index);
-    // The registry outlives every armed callback (it is the Library's
-    // first member); counter bumps are safe from the delivery context,
-    // but no trace record here — tracing reads the counting thread's
-    // clock, and deferred delivery may run elsewhere.
-    TelemetryRegistry* telemetry = &library_.telemetry();
     armed = context_->set_overflow(
         event_index, config->threshold,
-        [ring, idx, telemetry](const SubstrateOverflow& o) {
-          const bool pushed = ring->try_push(SampleRecord{
+        [ring, idx](const SubstrateOverflow& o) {
+          (void)ring->try_push(SampleRecord{
               .config_index = idx,
               .has_precise = o.has_precise ? 1u : 0u,
               .pc_observed = o.pc_observed,
               .pc_precise = o.pc_precise,
               .addr = o.addr});
-          telemetry->bump(pushed ? TelemetryCounter::kSamplesEnqueued
-                                 : TelemetryCounter::kSamplesDropped);
         },
         OverflowDeliveryMode::kDeferred);
   } else {

@@ -224,7 +224,8 @@ class EventSet {
 
  private:
   friend class Library;
-  EventSet(Library& library, int handle);
+  struct Published;
+  EventSet(Library& library, int handle, Published& published);
 
   struct TermRef {
     std::size_t native_index;
@@ -364,8 +365,8 @@ class EventSet {
   [[gnu::always_inline]] void publish_values(
       std::span<const long long> values, std::uint32_t pub_state,
       std::uint64_t now) noexcept;
-  /// Invalidates the publication (membership changed / snapshot
-  /// dropped) without touching folds_ — safe mid-rebuild.
+  /// Invalidates the publication (membership changed, snapshot dropped,
+  /// set destroyed) without touching folds_ — safe mid-rebuild.
   void publish_clear() noexcept;
   Status program_mux_group(std::size_t g);
   void rotate_mux();
@@ -380,6 +381,9 @@ class EventSet {
   /// overflow, trace, and overhead-attribution paths use; non-null from
   /// a successful start() until the matching stop().
   CounterContext* context_ = nullptr;
+  /// This set's publication, in its handle slot (see the cross-thread
+  /// publication section below).
+  Published& published_;
 
   std::vector<Entry> entries_;
   /// Unique natives, sorted ascending by owning component so each
@@ -509,8 +513,10 @@ class EventSet {
   enum : std::uint32_t { kPubNeverRan = 0, kPubRunning = 1, kPubStopped = 2 };
   /// Seqlock-published snapshot of this set's values, refreshed by the
   /// owning thread at start()/read()/stop()/reset(), so batch readers on
-  /// other threads never touch the owner's substrate contexts.  Single
-  /// writer: the thread driving the set.
+  /// other threads never touch the set or the owner's substrate
+  /// contexts.  It lives in the set's handle slot, which outlives the
+  /// set.  Single writer: the thread driving the set, then the thread
+  /// destroying it.
   struct Published {
     SeqLock lock;
     std::atomic<std::uint32_t> state{kPubNeverRan};
@@ -523,21 +529,21 @@ class EventSet {
     std::array<std::atomic<std::uint8_t>, kMaxPublishedValues> flags{};
   };
   /// The batch readers' publication path: one seqlock read bracket
-  /// copying the published values straight into `out` and folding
-  /// status/flags into `e` — no intermediate snapshot struct (zeroing
-  /// and copying fixed kMaxPublishedValues arrays per set dominated
-  /// snapshot_all over large registries).
-  void read_published_into(std::span<long long> out,
-                           SnapshotEntry& e) const noexcept;
-  Published published_;
+  /// copying `p`'s values straight into `out` and folding status/flags
+  /// into `e` — no intermediate snapshot struct (zeroing and copying
+  /// fixed kMaxPublishedValues arrays per set dominated snapshot_all
+  /// over large registries).
+  static void read_published_into(const Published& p,
+                                  std::span<long long> out,
+                                  SnapshotEntry& e) noexcept;
 };
 
 // Defined here (not eventset.cpp) so Library's batch loops inline it:
 // snapshot_all over a large registry runs this once per set, and the
 // cross-TU call was a measurable share of the per-set cost.
-inline void EventSet::read_published_into(std::span<long long> out,
-                                          SnapshotEntry& e) const noexcept {
-  const Published& p = published_;
+inline void EventSet::read_published_into(const Published& p,
+                                          std::span<long long> out,
+                                          SnapshotEntry& e) noexcept {
   std::uint32_t state = kPubNeverRan;
   std::uint64_t pub_cycles = 0;
   std::uint32_t num_events = 0;

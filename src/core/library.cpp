@@ -54,7 +54,6 @@ Library::Library(std::unique_ptr<Substrate> substrate)
   assert(added.ok());
   (void)added;
   substrate_->bind_telemetry(&telemetry_);
-  sampling_.bind_telemetry(&telemetry_);
   // Component 0's health monitor uses the CPU substrate as its cool-down
   // clock (every component does — one time base for the whole breaker).
   components_.at(0)->health.bind(&telemetry_, substrate_, 0);
@@ -67,10 +66,11 @@ Library::~Library() {
   for (EventSet* set : threads_.running_sets()) {
     (void)set->stop();
   }
-  // Handle-table chunks are only ever freed here, after all user threads
-  // (and thus all lock-free readers) have quiesced.
-  for (auto& chunk_slot : set_chunks_) {
-    delete[] chunk_slot.load(std::memory_order_acquire);
+  // Handle-table chunks (and with them the sets their slots own) are
+  // only ever freed here, after all user threads (and thus all
+  // lock-free readers) have quiesced.
+  for (auto& chunk : set_chunks_) {
+    delete[] chunk.load(std::memory_order_acquire);
   }
   // PAPIREPRO_TELEMETRY=stderr|<path>: at-shutdown summary of the
   // library's own behaviour, for runs that never call the C API.
@@ -91,7 +91,15 @@ Library::~Library() {
 TelemetrySnapshot Library::telemetry_snapshot() const {
   TelemetrySnapshot snap = telemetry_.snapshot();
   snap.num_components = components_.size();
+  // The sample counters come from the pipeline's own ring tallies, so
+  // they count whether or not telemetry is enabled, like the gauges.
   const SamplingStats sampling = sampling_.stats();
+  const auto fill = [&snap](TelemetryCounter c, std::uint64_t v) {
+    snap.counters[static_cast<std::size_t>(c)] = v;
+  };
+  fill(TelemetryCounter::kSamplesEnqueued, sampling.enqueued);
+  fill(TelemetryCounter::kSamplesDropped, sampling.dropped);
+  fill(TelemetryCounter::kSamplesDispatched, sampling.dispatched);
   snap.sampling_sweeps = sampling.sweeps;
   snap.sampling_flushes = sampling.flushes;
   snap.sampling_rings_active = sampling.rings_active;
@@ -332,7 +340,7 @@ Result<ThreadRegistry::ThreadState*> Library::current_thread_state() {
   // context.  A failed create must release the claim, or the partial
   // slot would shadow this thread forever and no retry could succeed.
   ThreadRegistry::ThreadState& state = threads_.claim_current(numeric_id);
-  if (state.context != nullptr) {  // raced our own claim
+  if (state.contexts[0] != nullptr) {  // raced our own claim
     tls_context_cache = {instance_token_, &state};
     return &state;
   }
@@ -347,7 +355,7 @@ Result<ThreadRegistry::ThreadState*> Library::current_thread_state() {
     threads_.release_partial_current();
     return created.error();
   }
-  state.context = std::move(context);
+  state.contexts[0] = std::move(context);
   tls_context_cache = {instance_token_, &state};
   return &state;
 }
@@ -391,25 +399,23 @@ Result<ThreadRegistry::ThreadState*> Library::acquire_thread(
 
 Result<CounterContext*> Library::component_context(
     ThreadRegistry::ThreadState& state, std::uint32_t component) {
-  if (component == 0) return state.context.get();
+  auto& slot = state.contexts[component];
+  if (slot != nullptr) return slot.get();
   Component* entry = components_.at(component);
   if (entry == nullptr) return Error::kNoComponent;
-  auto& slot = state.component_contexts[component];
-  if (slot == nullptr) {
-    // Lazy creation on the owning thread: thread-aware component
-    // substrates bind the context to the calling thread's domain (its
-    // machine, its rank), so this must not happen at registration time
-    // on someone else's thread.
-    std::unique_ptr<CounterContext> context;
-    const Status created = run_slice_op(component, [&] {
-      auto attempt = entry->substrate->create_context();
-      if (!attempt.ok()) return Status(attempt.error());
-      context = std::move(attempt).value();
-      return Status();
-    });
-    if (!created.ok()) return created.error();
-    slot = std::move(context);
-  }
+  // Lazy creation on the owning thread: thread-aware component
+  // substrates bind the context to the calling thread's domain (its
+  // machine, its rank), so this must not happen at registration time on
+  // someone else's thread.
+  std::unique_ptr<CounterContext> context;
+  const Status created = run_slice_op(*entry, [&] {
+    auto attempt = entry->substrate->create_context();
+    if (!attempt.ok()) return Status(attempt.error());
+    context = std::move(attempt).value();
+    return Status();
+  });
+  if (!created.ok()) return created.error();
+  slot = std::move(context);
   return slot.get();
 }
 
@@ -434,23 +440,14 @@ void Library::release_context(EventSet* set) {
 
 // --- EventSets -----------------------------------------------------------
 
-std::atomic<EventSet*>* Library::set_slot(int handle) const noexcept {
+Library::SetSlot* Library::set_slot(int handle) const noexcept {
   if (handle <= 0) return nullptr;
   const std::size_t idx = static_cast<std::size_t>(handle) - 1;
   const std::size_t chunk_idx = idx >> kSetChunkShift;
   if (chunk_idx >= kMaxSetChunks) return nullptr;
-  std::atomic<EventSet*>* chunk =
-      set_chunks_[chunk_idx].load(std::memory_order_acquire);
+  SetSlot* chunk = set_chunks_[chunk_idx].load(std::memory_order_acquire);
   if (chunk == nullptr) return nullptr;
   return &chunk[idx & (kSetChunkSlots - 1)];
-}
-
-EventSet* Library::find_set(int handle) const noexcept {
-  std::atomic<EventSet*>* slot = set_slot(handle);
-  // seq_cst slot load: participates in the reclamation protocol's single
-  // total order (see EpochPin) so a pinned reader either sees the set or
-  // provably pinned after its unpublish.
-  return slot != nullptr ? slot->load(std::memory_order_seq_cst) : nullptr;
 }
 
 Result<int> Library::create_event_set() {
@@ -467,112 +464,78 @@ Result<int> Library::create_event_set() {
     handle = next_handle_++;
   }
   const std::size_t idx = static_cast<std::size_t>(handle) - 1;
-  const std::size_t chunk_idx = idx >> kSetChunkShift;
-  std::atomic<EventSet*>* chunk =
-      set_chunks_[chunk_idx].load(std::memory_order_acquire);
+  std::atomic<SetSlot*>& chunk_ptr = set_chunks_[idx >> kSetChunkShift];
+  SetSlot* chunk = chunk_ptr.load(std::memory_order_relaxed);
   if (chunk == nullptr) {
-    // Value-initialized: every slot is null before the release store
-    // publishes the chunk to lock-free readers.  Chunks are never freed
-    // before the Library dies.
-    chunk = new std::atomic<EventSet*>[kSetChunkSlots]();
-    set_chunks_[chunk_idx].store(chunk, std::memory_order_release);
+    // Every slot is empty and its publication never-ran before the
+    // release store publishes the chunk to lock-free readers.
+    chunk = new SetSlot[kSetChunkSlots];
+    chunk_ptr.store(chunk, std::memory_order_release);
   }
-  auto set = std::unique_ptr<EventSet>(new EventSet(*this, handle));
-  EventSet* raw = set.get();
-  sets_.emplace(handle, std::move(set));
+  SetSlot& slot = chunk[idx & (kSetChunkSlots - 1)];
+  slot.owner.reset(new EventSet(*this, handle, slot.published));
   num_sets_.fetch_add(1, std::memory_order_relaxed);
   // Publish last, after the set is fully constructed and owned.
-  chunk[idx & (kSetChunkSlots - 1)].store(raw, std::memory_order_seq_cst);
+  slot.set.store(slot.owner.get(), std::memory_order_release);
   return handle;
 }
 
 Result<EventSet*> Library::event_set(int handle) {
-  EventSet* set = find_set(handle);  // lock-free: two atomic loads
+  const SetSlot* slot = set_slot(handle);  // lock-free: two atomic loads
+  EventSet* set =
+      slot != nullptr ? slot->set.load(std::memory_order_acquire) : nullptr;
   if (set == nullptr) return Error::kNoEventSet;
   return set;
-}
-
-void Library::reclaim_retired_locked() {
-  if (graveyard_.empty()) return;
-  // A retired set is freeable once every pinned reader's epoch is at or
-  // past its retire epoch: such a pin's seq_cst global-epoch load came
-  // after the retire bump, therefore after the unpublish, so that
-  // reader's table walk can only have seen null for this handle.
-  const std::uint64_t min_pin = threads_.min_active_epoch();
-  std::erase_if(graveyard_, [&](const RetiredSet& retired) {
-    return retired.retire_epoch <= min_pin;
-  });
 }
 
 Status Library::destroy_event_set(int handle) {
   writer_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(sets_mutex_);
-  const auto it = sets_.find(handle);
-  if (it == sets_.end()) return Error::kNoEventSet;
-  if (it->second->running()) return Error::kIsRunning;
-  // 1. Unpublish: lock-free readers stop finding the set.
-  set_slot(handle)->store(nullptr, std::memory_order_seq_cst);
-  // 2. Retire under the epoch that exists *after* the unpublish; readers
-  //    pinned before it may still hold the pointer, so the storage moves
-  //    to the graveyard instead of being freed.
-  const std::uint64_t retire =
-      global_epoch_.fetch_add(1, std::memory_order_seq_cst) + 1;
-  graveyard_.push_back({std::move(it->second), retire});
-  sets_.erase(it);
+  SetSlot* slot = set_slot(handle);
+  if (slot == nullptr || slot->owner == nullptr) return Error::kNoEventSet;
+  if (slot->owner->running()) return Error::kIsRunning;
+  // Batched readers reach another thread's set only through its slot,
+  // so once the slot stops naming the set and its publication reads
+  // never-ran, nothing but the caller can reach the set: free it now.
+  slot->set.store(nullptr, std::memory_order_release);
+  slot->owner->publish_clear();
+  slot->owner.reset();
   num_sets_.fetch_sub(1, std::memory_order_relaxed);
   free_handles_.push_back(handle);
-  // 3. Opportunistically free whatever prior retirees have quiesced.
-  reclaim_retired_locked();
   return Error::kOk;
-}
-
-std::size_t Library::retired_sets_pending() const {
-  const std::lock_guard<std::mutex> lock(sets_mutex_);
-  return graveyard_.size();
 }
 
 // --- batched snapshot reads ----------------------------------------------
 
-EventSet* Library::current_running() const noexcept {
-  if (tls_context_cache.token == instance_token_ &&
-      tls_context_cache.state != nullptr) {
-    return tls_context_cache.state->running.load(std::memory_order_acquire);
-  }
-  if (ThreadRegistry::ThreadState* state = threads_.find_current()) {
-    return state->running.load(std::memory_order_acquire);
-  }
-  return nullptr;
-}
-
-Status Library::batch_fill(EventSet& set, EventSet* my_running,
+Status Library::batch_fill(const SetSlot& slot, EventSet* live, int handle,
                            std::span<long long> values, std::size_t& used,
                            SnapshotEntry& e) {
-  e = SnapshotEntry{.handle = set.handle(),
+  e = SnapshotEntry{.handle = handle,
                     .first_value = static_cast<std::uint32_t>(used)};
   const std::span<long long> out = values.subspan(used);
-  if (&set != my_running) {
-    if (set.published_.num_events.load(std::memory_order_acquire) >
+  const EventSet::Published& published = slot.published;
+  if (live == nullptr) {
+    if (published.num_events.load(std::memory_order_acquire) >
         out.size()) {
       return Error::kInvalid;  // caller's values buffer is too small
     }
-    set.read_published_into(out, e);
+    EventSet::read_published_into(published, out, e);
   } else {
-    const std::size_t n = set.entries_.size();
+    const std::size_t n = live->entries_.size();
     if (n > out.size()) return Error::kInvalid;
-    const Status s = set.read(out.first(n));
+    const Status s = live->read(out.first(n));
     if (s.ok()) {
       e.num_values = static_cast<std::uint32_t>(n);
-      e.flags = set.folded_read_flags();
+      e.flags = live->folded_read_flags();
       // The live read just republished: its stamp is the read time.
-      e.pub_cycles =
-          set.published_.pub_cycles.load(std::memory_order_relaxed);
+      e.pub_cycles = published.pub_cycles.load(std::memory_order_relaxed);
     } else if (s.error() == Error::kNotRunning) {
       e.status = s.error();
     } else {
       // The live read failed (quarantine, substrate fault): serve the
       // last publication and mark the provenance instead of failing the
       // batch.
-      set.read_published_into(out, e);
+      EventSet::read_published_into(published, out, e);
       e.flags |= read_flag::kStale;
       if (s.error() == Error::kComponentQuarantined) {
         e.flags |= read_flag::kQuarantined;
@@ -583,41 +546,24 @@ Status Library::batch_fill(EventSet& set, EventSet* my_running,
   return Error::kOk;
 }
 
-Status Library::read_many(std::span<EventSet* const> sets,
+Status Library::read_many(std::span<const int> handles,
                           std::span<long long> values,
                           std::span<SnapshotEntry> entries,
                           std::size_t* values_used) {
   if (values_used != nullptr) *values_used = 0;
-  if (entries.size() < sets.size()) return Error::kInvalid;
-  // Resolve the calling thread's context once for the whole batch.
-  EventSet* const my_running = current_running();
-  std::size_t used = 0;
-  for (std::size_t i = 0; i < sets.size(); ++i) {
-    if (sets[i] == nullptr) return Error::kInvalid;
-    PAPIREPRO_RETURN_IF_ERROR(
-        batch_fill(*sets[i], my_running, values, used, entries[i]));
-  }
-  if (values_used != nullptr) *values_used = used;
-  return Error::kOk;
-}
-
-Status Library::read_many_handles(std::span<const int> handles,
-                                  std::span<long long> values,
-                                  std::span<SnapshotEntry> entries,
-                                  std::size_t* values_used) {
-  if (values_used != nullptr) *values_used = 0;
   if (entries.size() < handles.size()) return Error::kInvalid;
+  // Resolve the calling thread's context once for the whole batch.  Its
+  // running set is the only set this walk dereferences: no other thread
+  // can stop, so none can destroy, the set this thread runs.
   auto state = current_thread_state();
   if (!state.ok()) return state.error();
   EventSet* const my_running =
       state.value()->running.load(std::memory_order_acquire);
-  // Handle resolution happens inside the pin: a concurrent destroy of
-  // any of these sets parks the storage in the graveyard until we drop
-  // the pin, so the pointers stay valid for the whole batch.
-  const EpochPin pin(*this, *state.value());
   std::size_t used = 0;
   for (std::size_t i = 0; i < handles.size(); ++i) {
-    EventSet* set = find_set(handles[i]);
+    const SetSlot* slot = set_slot(handles[i]);
+    const EventSet* set =
+        slot != nullptr ? slot->set.load(std::memory_order_acquire) : nullptr;
     if (set == nullptr) {
       // Per-entry, not a batch failure.
       entries[i] = SnapshotEntry{
@@ -627,12 +573,12 @@ Status Library::read_many_handles(std::span<const int> handles,
       continue;
     }
     PAPIREPRO_RETURN_IF_ERROR(
-        batch_fill(*set, my_running, values, used, entries[i]));
+        batch_fill(*slot, set == my_running ? my_running : nullptr,
+                   handles[i], values, used, entries[i]));
   }
   if (values_used != nullptr) *values_used = used;
   return Error::kOk;
 }
-
 Status Library::snapshot_all(std::vector<SnapshotEntry>& entries,
                              std::vector<long long>& values) {
   // Thin grow-and-retry wrapper over the span overload: the hot walk
@@ -675,19 +621,21 @@ Status Library::snapshot_all(std::span<SnapshotEntry> entries,
   if (!state.ok()) return state.error();
   EventSet* const my_running =
       state.value()->running.load(std::memory_order_acquire);
-  const EpochPin pin(*this, *state.value());
   std::size_t n_entries = 0;
   std::size_t used = 0;
   for (std::size_t chunk_idx = 0; chunk_idx < kMaxSetChunks; ++chunk_idx) {
-    std::atomic<EventSet*>* chunk =
+    const SetSlot* chunk =
         set_chunks_[chunk_idx].load(std::memory_order_acquire);
     if (chunk == nullptr) break;
     for (std::size_t s = 0; s < kSetChunkSlots; ++s) {
-      EventSet* set = chunk[s].load(std::memory_order_seq_cst);
+      const EventSet* set = chunk[s].set.load(std::memory_order_acquire);
       if (set == nullptr) continue;
       if (n_entries == entries.size()) return Error::kInvalid;
-      PAPIREPRO_RETURN_IF_ERROR(batch_fill(*set, my_running, values, used,
-                                           entries[n_entries]));
+      const int handle =
+          static_cast<int>((chunk_idx << kSetChunkShift) + s + 1);
+      PAPIREPRO_RETURN_IF_ERROR(
+          batch_fill(chunk[s], set == my_running ? my_running : nullptr,
+                     handle, values, used, entries[n_entries]));
       ++n_entries;
     }
   }

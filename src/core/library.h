@@ -11,15 +11,17 @@
 // one running EventSet concurrently with no shared counter state.
 //
 // Thread discipline: the handle table is a lock-free chunked array of
-// atomic EventSet pointers — lookups and batched walks take zero locks;
-// creation/destruction serialize on one plain writer mutex with
-// epoch-based deferred reclamation (a destroyed set's storage survives
-// until every in-flight batched reader has unpinned).  Counter control
-// goes through the calling thread's context, and the stateless services
-// (event namespace, allocation, timers, memory info) are safe from any
-// thread.  Threads are auto-registered on their first start(); explicit
-// register_thread()/unregister_thread() bound the lifetime when callers
-// want PAPI_register_thread semantics.
+// handle slots that live until the Library dies, the same storage rule
+// as the thread registry's.  A slot holds the set's pointer and the
+// set's seqlock publication, so batched readers reach other threads'
+// sets only through their slots, take zero locks, and dereference only
+// the set the caller runs itself; creation/destruction serialize on one
+// plain writer mutex, and a destroyed set is freed at once.  Counter
+// control goes through the calling thread's context, and the stateless
+// services (event namespace, allocation, timers, memory info) are safe
+// from any thread.  Threads are auto-registered on their first start();
+// explicit register_thread()/unregister_thread() bound the lifetime when
+// callers want PAPI_register_thread semantics.
 #pragma once
 
 #include <array>
@@ -29,7 +31,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -151,31 +152,25 @@ class Library {
   }
 
   // --- batched snapshot reads ---
-  /// Reads every set in `sets` in one pass: the calling thread's context
-  /// is resolved once, its own running set gets a full live read, every
-  /// other set is served from its seqlock publication (kPublished flag).
-  /// `entries[i]` describes set i's values at
-  /// values[entries[i].first_value ..+ num_values).  Zero heap
-  /// allocation.  kInvalid when entries or values are too small.
-  Status read_many(std::span<EventSet* const> sets,
+  /// Reads every set in `handles` in one pass: the calling thread's
+  /// context is resolved once, its own running set gets a full live
+  /// read, every other set is served from its slot's seqlock publication
+  /// (kPublished flag).  `entries[i]` describes handle i's values at
+  /// values[entries[i].first_value ..+ num_values).  Unknown handles
+  /// yield a per-entry kNoEventSet status, not a batch failure; a handle
+  /// destroyed mid-call reads kNoEventSet or kNotRunning.  Zero heap
+  /// allocation.  kInvalid when entries or values are too small.  The
+  /// first call on a thread registers it, creating its CounterContext
+  /// (see register_thread()).
+  Status read_many(std::span<const int> handles,
                    std::span<long long> values,
                    std::span<SnapshotEntry> entries,
                    std::size_t* values_used = nullptr);
-  /// Handle-resolving variant (the C API's entry): lookups happen inside
-  /// the caller's epoch pin, so a concurrent destroy_event_set defers
-  /// reclamation instead of racing.  Unknown handles yield a per-entry
-  /// kNoEventSet status, not a batch failure.  The first call on a
-  /// thread registers it, creating its CounterContext (see
-  /// register_thread()).
-  Status read_many_handles(std::span<const int> handles,
-                           std::span<long long> values,
-                           std::span<SnapshotEntry> entries,
-                           std::size_t* values_used = nullptr);
   /// One coherent pass over every live EventSet in the library (the
   /// whole handle table), into caller-owned vectors that are resized to
   /// fit (contents replaced) and reused — steady state allocates
-  /// nothing once capacity is warm.  Like read_many_handles(), the first
-  /// call on a thread registers it (creating its CounterContext), so a
+  /// nothing once capacity is warm.  Like read_many(), the first call
+  /// on a thread registers it (creating its CounterContext), so a
   /// thread that polls while others count should register before they
   /// start.
   Status snapshot_all(std::vector<SnapshotEntry>& entries,
@@ -186,11 +181,6 @@ class Library {
                       std::span<long long> values,
                       std::size_t* entries_used, std::size_t* values_used);
 
-  /// Lock-free handle lookup: two atomic loads.  The pointer is only
-  /// safe to dereference while the caller holds an epoch pin or
-  /// otherwise owns the set's lifetime.
-  EventSet* find_set(int handle) const noexcept;
-
   // --- lock observability (test hooks) ---
   /// Total writer-mutex acquisitions (thread registry + handle table) so
   /// far.  Steady-state read/accum/read_many/snapshot_all must leave
@@ -199,9 +189,6 @@ class Library {
     return threads_.lock_acquisitions() +
            writer_lock_acquisitions_.load(std::memory_order_relaxed);
   }
-  /// Destroyed EventSets whose storage is still deferred behind an
-  /// active reader pin.
-  std::size_t retired_sets_pending() const;
 
   // --- timers ("the most popular feature") ---
   std::uint64_t real_usec() const { return substrate_->real_usec(); }
@@ -320,46 +307,31 @@ class Library {
   /// Sleeps the policy's exponential backoff before retry `attempt`.
   void backoff_before_retry(int attempt) const;
 
-  /// RAII epoch pin for batched readers.  While alive, destroyed
-  /// EventSets whose unpublish the pinned reader may not have observed
-  /// stay in the graveyard instead of being freed.  The pin load of the
-  /// global epoch is seq_cst: correctness argues through the single
-  /// total order over {pin store, unpublish store, epoch bump, writer
-  /// scan} — a pin at or past a set's retire epoch proves the reader's
-  /// table walk started after the unpublish and cannot hold the pointer.
-  class EpochPin {
-   public:
-    EpochPin(Library& library, ThreadRegistry::ThreadState& state) noexcept
-        : state_(state) {
-      state_.epoch.store(
-          library.global_epoch_.load(std::memory_order_seq_cst),
-          std::memory_order_seq_cst);
-    }
-    ~EpochPin() { state_.epoch.store(0, std::memory_order_release); }
-    EpochPin(const EpochPin&) = delete;
-    EpochPin& operator=(const EpochPin&) = delete;
-
-   private:
-    ThreadRegistry::ThreadState& state_;
+  /// One handle's storage.  Slots live until the Library dies, so a
+  /// lock-free reader may always load `set` and read `published`; it
+  /// never dereferences another thread's set.  `owner` is touched only
+  /// under sets_mutex_.  A destroy unpublishes `set`, clears
+  /// `published` and frees the set at once, so a reused handle reads
+  /// kNotRunning until its new set publishes.  Cache-line aligned so
+  /// two owners' publications never share a line.
+  struct alignas(64) SetSlot {
+    std::atomic<EventSet*> set{nullptr};
+    std::unique_ptr<EventSet> owner;
+    EventSet::Published published;
   };
 
   /// The handle's slot in the chunked table, or nullptr when its chunk
   /// was never allocated.
-  std::atomic<EventSet*>* set_slot(int handle) const noexcept;
-  /// Frees every graveyard entry no active reader pin can still reach.
-  /// Caller holds sets_mutex_.
-  void reclaim_retired_locked();
-  /// The per-entry step every batched read shares: a live read for the
-  /// caller's running set `my_running` (with publication fallback on
-  /// failure), a seqlock publication copy for everything else.  Fills
-  /// `e` and its values at values[used ..], then advances `used`;
-  /// kInvalid when `values` cannot hold the set's values.
-  Status batch_fill(EventSet& set, EventSet* my_running,
+  SetSlot* set_slot(int handle) const noexcept;
+  /// The per-entry step every batched read shares: a live read of
+  /// `live` (the caller's running set, or nullptr) with publication
+  /// fallback on failure, else a copy of the slot's seqlock
+  /// publication.  Fills `e` and its values at values[used ..], then
+  /// advances `used`; kInvalid when `values` cannot hold the set's
+  /// values.
+  Status batch_fill(const SetSlot& slot, EventSet* live, int handle,
                     std::span<long long> values, std::size_t& used,
                     SnapshotEntry& e);
-  /// The calling thread's currently running set, resolved through the
-  /// thread-local cache (no registry lock), or nullptr.
-  EventSet* current_running() const noexcept;
 
   /// Declared first: every other subsystem (substrate decorators, the
   /// sampling aggregator, EventSets) holds a raw pointer into the
@@ -393,36 +365,25 @@ class Library {
   std::atomic<int> retry_max_attempts_{3};
   std::atomic<std::uint64_t> retry_backoff_usec_{0};
 
-  /// Declared before sets_: EventSets detach their rings in their
-  /// destructors, so the aggregator must outlive the handle table.
+  /// Declared before the handle table: EventSets detach their rings in
+  /// their destructors, so the aggregator must outlive them.
   SamplingAggregator sampling_;
 
   // --- handle table: lock-free readers, mutex-serialized writers ---
   /// Chunk geometry: handle h lives at chunk[(h-1) >> kSetChunkShift]
   /// slot[(h-1) & (kSetChunkSlots-1)].  Chunks are allocated on demand
   /// under sets_mutex_, release-published, and never freed before the
-  /// Library dies, so a lock-free reader's two loads (acquire chunk,
-  /// seq_cst slot) always land on live storage.
-  static constexpr std::size_t kSetChunkShift = 10;
+  /// Library dies, so a lock-free reader's loads always land on live
+  /// storage.  256 slots (48 KB) per chunk keep a small library's table
+  /// small; 4096 chunk pointers keep the ~1M handle space.
+  static constexpr std::size_t kSetChunkShift = 8;
   static constexpr std::size_t kSetChunkSlots = 1u << kSetChunkShift;
-  static constexpr std::size_t kMaxSetChunks = 1024;  // ~1M handles
-  std::array<std::atomic<std::atomic<EventSet*>*>, kMaxSetChunks>
-      set_chunks_{};
+  static constexpr std::size_t kMaxSetChunks = 4096;  // ~1M handles
+  std::array<std::atomic<SetSlot*>, kMaxSetChunks> set_chunks_{};
 
   mutable std::mutex sets_mutex_;
-  /// Ownership ledger behind the lock-free table: the unique_ptrs that
-  /// actually own live EventSets.
-  std::unordered_map<int, std::unique_ptr<EventSet>> sets_;
-  /// Destroyed sets whose storage waits out in-flight reader pins.
-  struct RetiredSet {
-    std::unique_ptr<EventSet> set;
-    std::uint64_t retire_epoch;
-  };
-  std::vector<RetiredSet> graveyard_;
   std::vector<int> free_handles_;  ///< destroyed handles, reused LIFO
   int next_handle_ = 1;
-  /// Global reclamation epoch; bumped (seq_cst) after each unpublish.
-  std::atomic<std::uint64_t> global_epoch_{1};
   std::atomic<std::size_t> num_sets_{0};
   /// Handle-table writer-mutex acquisitions (see lock_acquisitions()).
   std::atomic<std::uint64_t> writer_lock_acquisitions_{0};

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/telemetry.h"
-
 namespace papirepro::papi {
 namespace {
 
@@ -90,12 +88,6 @@ void SamplingAggregator::drain_locked(Source& source, std::size_t limit) {
     ++n;
     dispatched_.fetch_add(1, std::memory_order_relaxed);
     if (source.dispatch) source.dispatch(record);
-  }
-  if (n > 0) {
-    if (TelemetryRegistry* telemetry =
-            telemetry_.load(std::memory_order_relaxed)) {
-      telemetry->bump(TelemetryCounter::kSamplesDispatched, n);
-    }
   }
 }
 

@@ -28,8 +28,6 @@
 
 namespace papirepro::papi {
 
-class TelemetryRegistry;
-
 /// One overflow occurrence, as captured at interrupt delivery.  POD so
 /// enqueue is a handful of stores; the armed-config index says which
 /// handler / profile buffer the aggregator dispatches it to.
@@ -94,13 +92,6 @@ class SamplingAggregator {
 
   SamplingStats stats() const;
 
-  /// Mirrors dispatch counts into the library-wide registry (the
-  /// aggregator thread registers its own slab on first dispatch).
-  /// Called once by the owning Library, which outlives the aggregator.
-  void bind_telemetry(TelemetryRegistry* telemetry) noexcept {
-    telemetry_.store(telemetry, std::memory_order_relaxed);
-  }
-
  private:
   struct Source {
     SpscRing<SampleRecord>* ring = nullptr;
@@ -122,7 +113,6 @@ class SamplingAggregator {
   bool stop_requested_ = false;
   bool sweeping_ = false;  ///< aggregator mid-pass; detach defers erase
 
-  std::atomic<TelemetryRegistry*> telemetry_{nullptr};
   std::atomic<std::uint64_t> dispatched_{0};
   std::atomic<std::uint64_t> sweeps_{0};
   std::atomic<std::uint64_t> flushes_{0};

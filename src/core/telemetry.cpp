@@ -42,6 +42,10 @@ TelemetrySnapshot TelemetryRegistry::snapshot() const {
     if (const SpscRing<TraceRecord>* ring =
             slab->ring.load(std::memory_order_relaxed)) {
       out.trace_records_buffered += ring->size();
+      out.counters[static_cast<std::size_t>(
+          TelemetryCounter::kTraceRecords)] += ring->pushed();
+      out.counters[static_cast<std::size_t>(TelemetryCounter::kTraceDrops)] +=
+          ring->dropped();
     }
   }
   return out;

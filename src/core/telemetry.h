@@ -274,7 +274,8 @@ class TelemetryRegistry {
   /// Trace enqueue: wait-free and allocation-free once the thread's
   /// ring exists (set_trace(true) creates rings for known slabs; slabs
   /// registered later get one at registration).  Full rings drop the
-  /// record and account it — never block the instrumented path.
+  /// record and count the drop themselves — never block the
+  /// instrumented path.
   void trace(TraceEventKind kind, std::uint64_t ts_cycles,
              std::uint64_t dur_cycles, std::uint64_t arg) noexcept {
     if (!trace_enabled_.load(std::memory_order_relaxed)) return;
@@ -283,14 +284,7 @@ class TelemetryRegistry {
     SpscRing<TraceRecord>* ring =
         slab->ring.load(std::memory_order_acquire);
     if (ring == nullptr) return;
-    const bool pushed =
-        ring->try_push(TraceRecord{ts_cycles, dur_cycles, arg, kind});
-    auto& cell = slab->counts[static_cast<std::size_t>(
-                                  pushed ? TelemetryCounter::kTraceRecords
-                                         : TelemetryCounter::kTraceDrops)]
-                     .value;
-    cell.store(cell.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
+    (void)ring->try_push(TraceRecord{ts_cycles, dur_cycles, arg, kind});
   }
   void trace_instant(TraceEventKind kind, std::uint64_t ts_cycles,
                      std::uint64_t arg) noexcept {
@@ -305,9 +299,10 @@ class TelemetryRegistry {
   Status set_trace(bool enabled,
                    std::size_t ring_capacity = kDefaultTraceCapacity);
 
-  /// Counter totals summed across every slab (live and dead threads).
-  /// Gauges owned by other subsystems are zero here; Library's
-  /// telemetry_snapshot() fills them.
+  /// Counter totals summed across every slab (live and dead threads),
+  /// with kTraceRecords/kTraceDrops taken from the trace rings' own
+  /// tallies.  Counters and gauges owned by other subsystems are zero
+  /// here; Library's telemetry_snapshot() fills them.
   TelemetrySnapshot snapshot() const;
 
   /// Drains every trace ring (destructive: records are consumed) into

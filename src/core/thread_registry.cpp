@@ -1,7 +1,6 @@
 #include "core/thread_registry.h"
 
 #include <cstdint>
-#include <limits>
 
 namespace papirepro::papi {
 
@@ -67,7 +66,7 @@ void ThreadRegistry::release_partial_current() {
   ThreadState* slot = scan([&](const ThreadState& s) {
     return s.key.load(std::memory_order_relaxed) == key;
   });
-  if (slot != nullptr && slot->context == nullptr) {
+  if (slot != nullptr && slot->contexts[0] == nullptr) {
     slot->key.store(0, std::memory_order_release);
     size_.fetch_sub(1, std::memory_order_relaxed);
   }
@@ -88,8 +87,7 @@ Status ThreadRegistry::erase_current() {
   // also runs under it, so the reset happens-before any reuse.  The
   // slot storage itself is never freed — concurrent scanners only ever
   // touch the atomic fields, which stay valid.
-  slot->context.reset();
-  for (auto& ctx : slot->component_contexts) ctx.reset();
+  for (auto& ctx : slot->contexts) ctx.reset();
   slot->programmed = 0;
   slot->numeric_id = 0;
   slot->key.store(0, std::memory_order_release);
@@ -113,16 +111,6 @@ std::vector<EventSet*> ThreadRegistry::running_sets() const {
     return false;  // full walk
   });
   return out;
-}
-
-std::uint64_t ThreadRegistry::min_active_epoch() const noexcept {
-  std::uint64_t min_epoch = std::numeric_limits<std::uint64_t>::max();
-  scan([&](const ThreadState& slot) {
-    const std::uint64_t e = slot.epoch.load(std::memory_order_seq_cst);
-    if (e != 0 && e < min_epoch) min_epoch = e;
-    return false;  // full walk
-  });
-  return min_epoch;
 }
 
 }  // namespace papirepro::papi

@@ -6,16 +6,17 @@
 //
 // Storage is contention-free for readers: ThreadStates live in-place in
 // append-only chunks linked by atomic next pointers, so every read-side
-// operation (find_current, find_running, running_sets, the epoch scans)
-// is a lock-free walk over atomic fields — no shared_mutex, no
-// lock-prefixed instructions.  Writers (claim/erase) serialize on one
-// plain mutex.  Slot storage is never freed before the registry is
-// destroyed: an erased slot's key returns to 0 and the slot is reused by
-// a later registration, so a concurrent scanner can never touch freed
-// memory (capacity is bounded by the peak number of concurrently
-// registered threads).  Threads are identified by a process-wide
-// monotonic 64-bit key instead of std::thread::id, so cross-thread key
-// comparisons are plain atomic loads.
+// operation (find_current, find_running, running_sets) is a lock-free
+// walk over atomic fields — no shared_mutex, no lock-prefixed
+// instructions.  Writers (claim/erase) serialize on one plain mutex.
+// Slot storage is never freed before the registry is destroyed — the
+// Library's handle table keeps the same rule: an erased slot's key
+// returns to 0 and the slot is reused by a later registration, so a
+// concurrent scanner can never touch freed memory (capacity is bounded
+// by the peak number of concurrently registered threads).  Threads are
+// identified by a process-wide monotonic 64-bit key instead of
+// std::thread::id, so cross-thread key comparisons are plain atomic
+// loads.
 #pragma once
 
 #include <array>
@@ -44,25 +45,19 @@ class ThreadRegistry {
     std::atomic<std::uint64_t> key{0};
     /// Numeric id from the user's PAPI_thread_init id function.
     unsigned long numeric_id = 0;
-    /// Component 0's (CPU core) context — created eagerly during
-    /// registration; a context-less slot marks a failed registration.
-    /// Contexts are touched only by the owning thread (or under the
-    /// writer mutex during erase) — never by lock-free scanners.
-    std::unique_ptr<CounterContext> context;
-    /// Lazily-created contexts for components 1..N-1, indexed by
-    /// component id (slot 0 unused).  Touched only by the owning thread.
-    std::array<std::unique_ptr<CounterContext>, kMaxComponents>
-        component_contexts;
+    /// One context per component, indexed by component id.  Component
+    /// 0's (the CPU core's) is created eagerly during registration, so
+    /// a slot without one marks a failed registration; the rest are
+    /// created lazily on first use.  Contexts are touched only by the
+    /// owning thread (or under the writer mutex during erase) — never by
+    /// lock-free scanners.
+    std::array<std::unique_ptr<CounterContext>, kMaxComponents> contexts;
     /// Program id of the EventSet whose programming these contexts
     /// hold, so its restart can skip program(); 0 when unknown.
     /// Touched only by the owning thread, and zeroed at erase so a
     /// thread reusing the slot programs its fresh contexts.
     std::uint64_t programmed = 0;
     std::atomic<EventSet*> running{nullptr};
-    /// Epoch pin for batched readers: nonzero while this thread holds
-    /// handle-table pointers inside read_many()/snapshot_all(); 0 when
-    /// quiescent.  Deferred EventSet reclamation scans these.
-    std::atomic<std::uint64_t> epoch{0};
   };
 
   ThreadRegistry() = default;
@@ -106,12 +101,6 @@ class ThreadRegistry {
   std::size_t size() const noexcept {
     return size_.load(std::memory_order_relaxed);
   }
-
-  /// Smallest nonzero epoch currently pinned by any registered thread,
-  /// or UINT64_MAX when every thread is quiescent.  seq_cst loads: the
-  /// reclamation protocol argues correctness through the single total
-  /// order over the unpublish store, the epoch bump, and these scans.
-  std::uint64_t min_active_epoch() const noexcept;
 
   /// Writer-mutex acquisitions so far — the assertion hook tests use to
   /// prove the steady-state read path never takes a registry lock.

@@ -28,7 +28,6 @@ Status Perfometer::start() {
   if (!handle.ok()) return handle.error();
   set_handle_ = handle.value();
   auto set = library_.event_set(set_handle_);
-  set_ = set.value();
   PAPIREPRO_RETURN_IF_ERROR(set.value()->add_event(metric_));
   PAPIREPRO_RETURN_IF_ERROR(set.value()->start());
 
@@ -47,14 +46,15 @@ Status Perfometer::start() {
 }
 
 void Perfometer::sample() {
-  if (!running_ || set_ == nullptr) return;
-  // Batched read, span of one: resolves the thread context once and
-  // performs no handle lookup or allocation on the timer path.  The
-  // timer may fire on a thread other than the one driving the set, in
-  // which case the value arrives from the set's publication.
+  if (!running_) return;
+  // Batched read, span of one: a lock-free slot lookup and no allocation
+  // on the timer path.  The timer may fire on a thread other than the
+  // one driving the set, in which case the value arrives from the set's
+  // publication.
   long long value = 0;
   papi::SnapshotEntry entry;
-  if (!library_.read_many({&set_, 1}, {&value, 1}, {&entry, 1}).ok() ||
+  if (!library_.read_many({&set_handle_, 1}, {&value, 1}, {&entry, 1})
+           .ok() ||
       entry.status != Error::kOk) {
     return;
   }
@@ -90,7 +90,6 @@ Status Perfometer::stop() {
     (void)library_.destroy_event_set(set_handle_);
   }
   set_handle_ = -1;
-  set_ = nullptr;
   running_ = false;
   return Error::kOk;
 }

@@ -57,9 +57,6 @@ class Perfometer {
   papi::EventId metric_;
   std::uint64_t interval_cycles_;
   int set_handle_ = -1;
-  /// Cached between start() and stop(): sample() runs on the timer path,
-  /// so it uses the batched read API with no per-sample handle lookup.
-  papi::EventSet* set_ = nullptr;
   int timer_id_ = -1;
   bool running_ = false;
   std::uint64_t last_usec_ = 0;

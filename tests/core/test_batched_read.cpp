@@ -1,12 +1,13 @@
 // Batched snapshot reads (Library::read_many / snapshot_all) and the
-// epoch-protected registry they walk.  The contract under test: one
-// call serves many EventSets — the caller's running set as a full live
-// read, everything else from its seqlock publication — with per-entry
-// statuses instead of batch failures, zero heap allocation, and zero
-// lock acquisitions in steady state.  The Registry suite races the
-// walk against handle churn and destroys to pin the deferred
-// reclamation protocol (suites are Batched* so the CI ThreadSanitizer
-// shard picks both up).
+// handle table they walk.  The contract under test: one call serves
+// many EventSets — the caller's running set as a full live read,
+// everything else from the seqlock publication in its handle slot —
+// with per-entry statuses instead of batch failures, zero heap
+// allocation, and zero lock acquisitions in steady state.  The Registry
+// suite races the walk against handle churn, destroys and handle reuse:
+// slots outlive their sets, so a destroyed set is freed at once and a
+// racing reader sees its handle as kNoEventSet or kNotRunning (suites
+// are Batched* so the CI ThreadSanitizer shard picks both up).
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -60,7 +61,7 @@ TEST(BatchedRead, ReadManyMatchesIndividualReads) {
   std::vector<long long> values(6);
   std::vector<SnapshotEntry> entries(3);
   std::size_t used = 0;
-  ASSERT_TRUE(f.library->read_many(sets, values, entries, &used).ok());
+  ASSERT_TRUE(f.library->read_many(handles, values, entries, &used).ok());
   ASSERT_EQ(used, 6u);
 
   // Entry 0 is the caller's running set: a full live read, no flags.
@@ -95,7 +96,7 @@ TEST(BatchedRead, UnknownHandleIsPerEntryStatusNotBatchFailure) {
   const int batch[2] = {handles[1], 999'999};
   std::vector<long long> values(4);
   std::vector<SnapshotEntry> entries(2);
-  ASSERT_TRUE(f.library->read_many_handles(batch, values, entries).ok());
+  ASSERT_TRUE(f.library->read_many(batch, values, entries).ok());
   EXPECT_EQ(entries[0].status, Error::kOk);
   EXPECT_EQ(entries[0].num_values, 2u);
   EXPECT_EQ(entries[1].status, Error::kNoEventSet);
@@ -107,12 +108,21 @@ TEST(BatchedRead, NeverStartedSetReportsNotRunning) {
                {.charge_costs = false});
   EventSet& set = f.new_set();
   ASSERT_TRUE(set.add_preset(Preset::kTotIns).ok());
-  EventSet* sets[1] = {&set};
-  std::vector<long long> values(2);
-  std::vector<SnapshotEntry> entries(1);
-  ASSERT_TRUE(f.library->read_many(sets, values, entries).ok());
-  EXPECT_EQ(entries[0].status, Error::kNotRunning);
-  EXPECT_EQ(entries[0].num_values, 0u);
+  // A handle reused after its set ran and was destroyed reads the same
+  // until its new set publishes, not the destroyed set's last values.
+  const int ran = make_sets(f, 2, nullptr)[1];
+  ASSERT_TRUE(f.library->destroy_event_set(ran).ok());
+  auto reused = f.library->create_event_set();
+  ASSERT_TRUE(reused.ok());
+  ASSERT_EQ(reused.value(), ran);
+  const int batch[2] = {set.handle(), ran};
+  std::vector<long long> values(4);
+  std::vector<SnapshotEntry> entries(2);
+  ASSERT_TRUE(f.library->read_many(batch, values, entries).ok());
+  for (const SnapshotEntry& e : entries) {
+    EXPECT_EQ(e.status, Error::kNotRunning) << e.handle;
+    EXPECT_EQ(e.num_values, 0u) << e.handle;
+  }
 }
 
 TEST(BatchedRead, SnapshotAllCoversEveryLiveSetInHandleOrder) {
@@ -177,14 +187,12 @@ TEST(BatchedRead, PublicationCyclesStampAdvancesAndAges) {
   std::vector<std::array<long long, 2>> finals;
   const std::vector<int> handles = make_sets(f, 2, &finals);
   EventSet* live = f.library->event_set(handles[0]).value();
-  EventSet* stopped = f.library->event_set(handles[1]).value();
   ASSERT_TRUE(live->start().ok());
   f.machine->run(2'000);
 
-  EventSet* sets[2] = {live, stopped};
   std::vector<long long> values(4);
   std::vector<SnapshotEntry> entries(2);
-  ASSERT_TRUE(f.library->read_many(sets, values, entries).ok());
+  ASSERT_TRUE(f.library->read_many(handles, values, entries).ok());
   // Both entries ran at some point, so both carry a nonzero stamp.
   EXPECT_GT(entries[0].pub_cycles, 0u);
   EXPECT_GT(entries[1].pub_cycles, 0u);
@@ -194,15 +202,15 @@ TEST(BatchedRead, PublicationCyclesStampAdvancesAndAges) {
   // More work, another batch: the live set's stamp advances with its
   // reads; the stopped set's publication is frozen at its stop().
   f.machine->run(2'000);
-  ASSERT_TRUE(f.library->read_many(sets, values, entries).ok());
+  ASSERT_TRUE(f.library->read_many(handles, values, entries).ok());
   EXPECT_GT(entries[0].pub_cycles, live_stamp);
   EXPECT_EQ(entries[1].pub_cycles, stopped_stamp);
 
   // A never-started set has no stamp to report.
   EventSet& idle = f.new_set();
   ASSERT_TRUE(idle.add_preset(Preset::kTotIns).ok());
-  EventSet* idle_sets[1] = {&idle};
-  ASSERT_TRUE(f.library->read_many(idle_sets, values, entries).ok());
+  const int idle_batch[1] = {idle.handle()};
+  ASSERT_TRUE(f.library->read_many(idle_batch, values, entries).ok());
   EXPECT_EQ(entries[0].status, Error::kNotRunning);
   EXPECT_EQ(entries[0].pub_cycles, 0u);
   EXPECT_TRUE(live->stop().ok());
@@ -213,20 +221,18 @@ TEST(BatchedRead, CapacityPrechecksFailWithInvalid) {
                {.charge_costs = false});
   std::vector<std::array<long long, 2>> finals;
   const std::vector<int> handles = make_sets(f, 2, &finals);
-  EventSet* sets[2] = {f.library->event_set(handles[0]).value(),
-                       f.library->event_set(handles[1]).value()};
   std::vector<long long> values(4);
   std::vector<SnapshotEntry> entries(2);
   // Fewer entries than sets.
   EXPECT_EQ(f.library
-                ->read_many(sets, values,
+                ->read_many(handles, values,
                             std::span<SnapshotEntry>(entries).first(1))
                 .error(),
             Error::kInvalid);
   // Values buffer too small for the second set's publication (set 0
   // never ran, so it needs no value slots; set 1 needs two).
   EXPECT_EQ(f.library
-                ->read_many(sets, std::span<long long>(values).first(1),
+                ->read_many(handles, std::span<long long>(values).first(1),
                             entries)
                 .error(),
             Error::kInvalid);
@@ -248,24 +254,18 @@ TEST(BatchedRead, SteadyStateIsAllocationFree) {
   const std::vector<int> handles = make_sets(f, 8, &finals);
   EventSet* live = f.library->event_set(handles[0]).value();
   ASSERT_TRUE(live->start().ok());
-  std::vector<EventSet*> sets;
-  for (const int h : handles) {
-    sets.push_back(f.library->event_set(h).value());
-  }
   std::vector<long long> values(16);
   std::vector<SnapshotEntry> entries(8);
   std::vector<SnapshotEntry> vec_entries;
   std::vector<long long> vec_values;
   // Warm every path once so lazily-sized capacity fills up front.
-  ASSERT_TRUE(f.library->read_many(sets, values, entries).ok());
-  ASSERT_TRUE(f.library->read_many_handles(handles, values, entries).ok());
+  ASSERT_TRUE(f.library->read_many(handles, values, entries).ok());
   ASSERT_TRUE(f.library->snapshot_all(vec_entries, vec_values).ok());
 
   constexpr int kIters = 1000;
   AllocationGuard guard;
   for (int i = 0; i < kIters; ++i) {
-    (void)f.library->read_many(sets, values, entries);
-    (void)f.library->read_many_handles(handles, values, entries);
+    (void)f.library->read_many(handles, values, entries);
     (void)f.library->snapshot_all(vec_entries, vec_values);
   }
   EXPECT_EQ(guard.delta(), 0u);
@@ -288,8 +288,8 @@ TEST(BatchedRead, SteadyStateTakesNoLocks) {
   const std::uint64_t locks_before = f.library->lock_acquisitions();
   for (int i = 0; i < 1000; ++i) {
     (void)live->read(v);
-    (void)f.library->read_many_handles(handles, values,
-                                       std::span<SnapshotEntry>(entries));
+    (void)f.library->read_many(handles, values,
+                               std::span<SnapshotEntry>(entries));
     (void)f.library->snapshot_all(entries, vec_values);
   }
   // The lock-free claim, as an equality: reads, batched reads, and
@@ -344,15 +344,13 @@ TEST(BatchedRegistry, SnapshotAllRacesHandleChurn) {
   EXPECT_EQ(churn_failures.load(), 0);
   EXPECT_EQ(bad_entries, 0);
   EXPECT_EQ(f.library->num_event_sets(), stable.size());
-  // With every reader quiescent, one more churn cycle reclaims the
-  // entire graveyard.
+  // The table still serves a create/destroy cycle after the churn.
   auto handle = f.library->create_event_set();
   ASSERT_TRUE(handle.ok());
   ASSERT_TRUE(f.library->destroy_event_set(handle.value()).ok());
-  EXPECT_EQ(f.library->retired_sets_pending(), 0u);
 }
 
-TEST(BatchedRegistry, DestroyDuringBatchedReadsDefersReclamation) {
+TEST(BatchedRegistry, DestroyDuringBatchedReadsIsAPerEntryStatus) {
   SimFixture f(sim::make_saxpy(500), pmu::sim_x86(),
                {.charge_costs = false});
   std::vector<std::array<long long, 2>> finals;
@@ -378,7 +376,7 @@ TEST(BatchedRegistry, DestroyDuringBatchedReadsDefersReclamation) {
       std::vector<long long> values(16);
       std::vector<SnapshotEntry> entries(8);
       for (int i = 0; i < kReads; ++i) {
-        if (!f.library->read_many_handles(handles, values, entries).ok()) {
+        if (!f.library->read_many(handles, values, entries).ok()) {
           reader_failures.fetch_add(1, std::memory_order_relaxed);
           return;
         }
@@ -402,12 +400,91 @@ TEST(BatchedRegistry, DestroyDuringBatchedReadsDefersReclamation) {
   const std::vector<int> fresh = make_sets(f, 4, nullptr);
   for (auto& th : readers) th.join();
   EXPECT_EQ(reader_failures.load(), 0);
-  // All pins dropped: the next churn cycle must drain the graveyard.
   auto handle = f.library->create_event_set();
   ASSERT_TRUE(handle.ok());
   ASSERT_TRUE(f.library->destroy_event_set(handle.value()).ok());
-  EXPECT_EQ(f.library->retired_sets_pending(), 0u);
   EXPECT_EQ(f.library->num_event_sets(), fresh.size());
+}
+
+TEST(BatchedRegistry, ReusedHandleShowsOnlyWholeIncarnations) {
+  SimFixture f(sim::make_saxpy(500), pmu::sim_x86(),
+               {.charge_costs = false});
+  constexpr int kReaders = 2;
+  constexpr int kIncarnations = 300;
+  // Every thread that starts a set or reads in a batch registers, which
+  // creates a CounterContext on its bound machine: one machine each for
+  // the readers and the churner.
+  std::vector<std::unique_ptr<sim::Machine>> machines;
+  std::vector<sim::Workload> workloads;
+  for (int t = 0; t < kReaders + 1; ++t) {
+    workloads.push_back(sim::make_saxpy(100));
+    machines.push_back(std::make_unique<sim::Machine>(
+        workloads.back().program, pmu::sim_x86().machine));
+    if (workloads.back().setup) workloads.back().setup(*machines.back());
+  }
+  auto first = f.library->create_event_set();
+  ASSERT_TRUE(first.ok());
+  const int h = first.value();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  const auto bad = [&] { failures.fetch_add(1, std::memory_order_relaxed); };
+  // One entry for `h` from any incarnation: a whole publication (one or
+  // three values) or none at all, never a freed set's or a torn shape.
+  const auto check = [&](const SnapshotEntry& e) {
+    if (e.status != Error::kOk && e.status != Error::kNotRunning &&
+        e.status != Error::kNoEventSet) {
+      bad();
+    }
+    if (e.num_values != 0 && e.num_values != 1 && e.num_values != 3) bad();
+    if (e.status != Error::kOk && e.num_values != 0) bad();
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      f.substrate->bind_thread_machine(*machines[t]);
+      std::vector<long long> values(16);
+      std::vector<SnapshotEntry> entries(1);
+      std::vector<SnapshotEntry> all_entries;
+      std::vector<long long> all_values;
+      while (!done.load(std::memory_order_acquire)) {
+        if (!f.library->read_many({&h, 1}, values, entries).ok()) bad();
+        check(entries[0]);
+        if (!f.library->snapshot_all(all_entries, all_values).ok()) bad();
+        for (const SnapshotEntry& e : all_entries) {
+          if (e.handle == h) check(e);
+        }
+      }
+      (void)f.library->unregister_thread();
+    });
+  }
+  // The churner destroys and recreates `h` (LIFO reuse hands the same
+  // handle back), alternating one and three events, and runs each set
+  // once so it publishes.
+  std::thread churner([&] {
+    f.substrate->bind_thread_machine(*machines[kReaders]);
+    for (int i = 0; i < kIncarnations; ++i) {
+      if (!f.library->destroy_event_set(h).ok()) bad();
+      auto reused = f.library->create_event_set();
+      if (!reused.ok() || reused.value() != h) {
+        bad();
+        break;
+      }
+      EventSet& set = *f.library->event_set(h).value();
+      if (!set.add_preset(Preset::kTotIns).ok()) bad();
+      if (i % 2 == 1) {
+        if (!set.add_preset(Preset::kTotCyc).ok()) bad();
+        if (!set.add_preset(Preset::kFmaIns).ok()) bad();
+      }
+      if (!set.start().ok() || !set.stop().ok()) bad();
+    }
+    (void)f.library->unregister_thread();
+    done.store(true, std::memory_order_release);
+  });
+  churner.join();
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(f.library->num_event_sets(), 1u);
 }
 
 TEST(BatchedRegistry, ThreadSlotsAreReusedAcrossWaves) {
@@ -427,7 +504,7 @@ TEST(BatchedRegistry, ThreadSlotsAreReusedAcrossWaves) {
         std::vector<long long> values(8);
         std::vector<SnapshotEntry> entries(4);
         if (!f.library->register_thread().ok() ||
-            !f.library->read_many_handles(handles, values, entries).ok() ||
+            !f.library->read_many(handles, values, entries).ok() ||
             !f.library->unregister_thread().ok()) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
