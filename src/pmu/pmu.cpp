@@ -20,7 +20,7 @@ bool is_ear_signal(sim::SimEvent signal) noexcept {
 
 PmuModel::PmuModel(const PlatformDescription& platform,
                    sim::Machine& machine)
-    : platform_(platform), machine_(machine) {
+    : sim::EventListener(0), platform_(platform), machine_(machine) {
   counters_.resize(platform.num_counters);
   machine_.add_listener(this);
 }
@@ -76,11 +76,14 @@ Status PmuModel::program(std::span<const NativeEventCode> events,
 void PmuModel::clear() {
   for (auto& c : counters_) c = Counter{};
   for (auto& d : dispatch_) d.clear();
+  dispatched_ = 0;
   running_ = false;
+  update_wanted();
 }
 
 void PmuModel::rebuild_dispatch() {
   for (auto& d : dispatch_) d.clear();
+  dispatched_ = 0;
   for (std::uint32_t i = 0; i < counters_.size(); ++i) {
     if (counters_[i].event == kNoNativeEvent) continue;
     const NativeEvent* ev = platform_.find_event(counters_[i].event);
@@ -88,19 +91,23 @@ void PmuModel::rebuild_dispatch() {
     for (const SignalTerm& t : ev->terms) {
       dispatch_[static_cast<std::size_t>(t.signal)].push_back(
           {i, t.multiplier});
+      dispatched_ |= sim::sim_event_bit(t.signal);
     }
   }
+  update_wanted();
 }
 
 Status PmuModel::start() {
   if (running_) return Error::kIsRunning;
   running_ = true;
+  update_wanted();
   return Error::kOk;
 }
 
 Status PmuModel::stop() {
   if (!running_) return Error::kNotRunning;
   running_ = false;
+  update_wanted();
   return Error::kOk;
 }
 
@@ -143,7 +150,6 @@ Status PmuModel::set_domain(std::uint32_t idx,
 
 void PmuModel::on_event(sim::SimEvent event, std::uint64_t weight,
                         const sim::EventContext& ctx) {
-  if (!running_) return;
   const std::uint32_t domain_bit = ctx.kernel ? 0x2u : 0x1u;
   const auto& entries = dispatch_[static_cast<std::size_t>(event)];
   for (const DispatchEntry& e : entries) {

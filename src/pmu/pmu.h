@@ -87,7 +87,7 @@ class PmuModel final : public sim::EventListener {
   /// is both.
   Status set_domain(std::uint32_t idx, std::uint32_t domain_mask);
 
-  // sim::EventListener
+  // sim::EventListener; the machine calls it only while the model runs.
   void on_event(sim::SimEvent event, std::uint64_t weight,
                 const sim::EventContext& ctx) override;
 
@@ -110,11 +110,17 @@ class PmuModel final : public sim::EventListener {
   };
 
   void rebuild_dispatch();
+  /// The machine calls on_event() for the dispatched signals while the
+  /// model runs and for none while it is stopped.
+  void update_wanted() noexcept {
+    set_wanted(running_ ? dispatched_ : 0);
+  }
 
   const PlatformDescription& platform_;
   sim::Machine& machine_;
   std::vector<Counter> counters_;
   std::array<std::vector<DispatchEntry>, sim::kNumSimEvents> dispatch_;
+  sim::SimEventMask dispatched_ = 0;  ///< signals with a dispatch entry
   bool running_ = false;
 };
 

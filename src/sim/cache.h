@@ -34,15 +34,20 @@ struct CacheStats {
 
 class Cache {
  public:
+  /// Line size and set count must be powers of two: set and tag are a
+  /// mask and a shift of the address.
   explicit Cache(const CacheConfig& config);
 
   /// Accesses `addr`; returns true on hit.  On miss, the line is filled
   /// (allocate-on-miss for both reads and writes).
   bool access(std::uint64_t addr);
 
-  /// Invalidates `lines` least-recently-used lines across the cache —
-  /// models the cache pollution a counter-read system call causes in the
-  /// monitored process (Section 4: "the interfaces cause cache pollution").
+  /// Invalidates `lines` lines, round-robin: the cursor walks one way
+  /// across successive sets and moves to the next way after each
+  /// `num_sets()` lines of one call, so calls of fewer lines than there
+  /// are sets only ever invalidate way 0 of successive sets.  Models the
+  /// cache pollution a counter-read system call causes in the monitored
+  /// process (Section 4: "the interfaces cause cache pollution").
   void pollute(std::uint32_t lines);
 
   void reset_stats() noexcept { stats_ = {}; }
@@ -51,22 +56,16 @@ class Cache {
 
  private:
   struct Way {
-    std::uint64_t tag = 0;
+    std::uint64_t key = 0;  ///< (tag << 1) | 1 when valid, 0 when not
     std::uint64_t lru = 0;  ///< last-touch stamp; smaller = older
-    bool valid = false;
   };
 
-  std::uint64_t set_of(std::uint64_t addr) const noexcept {
-    return (addr / config_.line_bytes) % sets_;
-  }
-  std::uint64_t tag_of(std::uint64_t addr) const noexcept {
-    return addr / config_.line_bytes / sets_;
-  }
-
   CacheConfig config_;
-  std::uint64_t sets_;
+  std::uint32_t line_shift_;  ///< log2(line_bytes)
+  std::uint32_t tag_shift_;   ///< log2(line_bytes * sets)
+  std::uint64_t set_mask_;    ///< sets - 1
   std::uint64_t stamp_ = 0;
-  std::vector<Way> ways_;  ///< sets_ x associativity, row-major
+  std::vector<Way> ways_;  ///< sets x associativity, row-major
   CacheStats stats_;
   std::uint32_t pollute_cursor_ = 0;
 };

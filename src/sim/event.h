@@ -63,11 +63,35 @@ struct EventContext {
   bool kernel = false;
 };
 
+/// A set of SimEvents, one bit per signal.
+using SimEventMask = std::uint32_t;
+static_assert(kNumSimEvents <= 32, "SimEventMask has one bit per signal");
+
+constexpr SimEventMask sim_event_bit(SimEvent e) noexcept {
+  return SimEventMask{1} << static_cast<unsigned>(e);
+}
+inline constexpr SimEventMask kAllSimEvents =
+    (SimEventMask{1} << kNumSimEvents) - 1;
+
+/// A subscriber to the machine's signals.  It carries the set of
+/// signals it wants, and Machine::emit calls on_event() only for those;
+/// a listener narrows the set only to signals whose on_event() would
+/// return without effect.
 class EventListener {
  public:
   virtual ~EventListener() = default;
   virtual void on_event(SimEvent event, std::uint64_t weight,
                         const EventContext& ctx) = 0;
+
+  SimEventMask wanted() const noexcept { return wanted_; }
+
+ protected:
+  explicit EventListener(SimEventMask wanted = kAllSimEvents) noexcept
+      : wanted_(wanted) {}
+  void set_wanted(SimEventMask wanted) noexcept { wanted_ = wanted; }
+
+ private:
+  SimEventMask wanted_;
 };
 
 }  // namespace papirepro::sim

@@ -704,4 +704,43 @@ Workload make_random_access(std::int64_t table_words,
   return w;
 }
 
+Workload make_page_walk(std::int64_t pages, std::int64_t passes) {
+  assert(pages > 0 && passes > 0);
+  ProgramBuilder b;
+  b.begin_function("main");
+  b.set_line(1);
+  b.li(4, passes);
+  b.li(5, pages);
+  b.li(1, 0);
+  auto pass = b.new_label();
+  b.bind(pass);
+  b.set_line(2);
+  b.li(10, kDataBase);
+  b.li(2, 0);
+  auto page = b.new_label();
+  b.bind(page);
+  b.set_line(3);
+  b.load(3, 10, 0);
+  b.addi(10, 10, static_cast<std::int64_t>(kPageSize));
+  b.addi(2, 2, 1);
+  b.blt(2, 5, page);
+  b.set_line(4);
+  b.addi(1, 1, 1);
+  b.blt(1, 4, pass);
+  b.halt();
+  b.end_function();
+
+  Workload w;
+  w.name = "page_walk";
+  w.program = std::move(b).build();
+  // No setup: the pages are never written and read as zero.
+  const auto loads = static_cast<std::uint64_t>(pages * passes);
+  w.expected = {.loads = loads,
+                .stores = 0,
+                .branches = loads + static_cast<std::uint64_t>(passes)};
+  w.regions = {{"pages", static_cast<std::uint64_t>(kDataBase),
+                static_cast<std::uint64_t>(pages) * kPageSize}};
+  return w;
+}
+
 }  // namespace papirepro::sim

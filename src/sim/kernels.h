@@ -110,4 +110,10 @@ Workload make_reduction(std::int64_t n);
 Workload make_random_access(std::int64_t table_words,
                             std::int64_t updates);
 
+/// One load per page, cycling `passes` times over `pages` consecutive
+/// pages (sim::kPageSize apart).  A data-TLB oracle: on an LRU TLB of E
+/// entries every load misses when pages > E, and only the first pass
+/// misses when pages <= E.
+Workload make_page_walk(std::int64_t pages, std::int64_t passes);
+
 }  // namespace papirepro::sim

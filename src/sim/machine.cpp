@@ -37,7 +37,10 @@ void Machine::remove_listener(EventListener* listener) {
 
 void Machine::emit(SimEvent e, std::uint64_t weight,
                    const EventContext& ctx) {
-  for (EventListener* l : listeners_) l->on_event(e, weight, ctx);
+  const SimEventMask bit = sim_event_bit(e);
+  for (EventListener* l : listeners_) {
+    if ((l->wanted() & bit) != 0) l->on_event(e, weight, ctx);
+  }
 }
 
 int Machine::add_cycle_timer(std::uint64_t period_cycles,

@@ -1,30 +1,21 @@
 #include "sim/memory.h"
 
-#include <cassert>
-
 namespace papirepro::sim {
 
 Memory::Page& Memory::page(std::uint64_t page_index) {
   auto& slot = pages_[page_index];
   if (!slot) slot = std::make_unique<Page>();
+  memo_index_ = page_index;
+  memo_page_ = slot.get();
   return *slot;
 }
 
 const Memory::Page* Memory::find_page(std::uint64_t page_index) const {
   auto it = pages_.find(page_index);
-  return it == pages_.end() ? nullptr : it->second.get();
-}
-
-std::int64_t Memory::read_i64(std::uint64_t addr) const {
-  assert((addr & 7) == 0 && "unaligned 8-byte access");
-  const Page* p = find_page(page_of(addr));
-  if (p == nullptr) return 0;  // untouched memory reads as zero
-  return p->words[(addr & kPageMask) >> 3];
-}
-
-void Memory::write_i64(std::uint64_t addr, std::int64_t value) {
-  assert((addr & 7) == 0 && "unaligned 8-byte access");
-  page(page_of(addr)).words[(addr & kPageMask) >> 3] = value;
+  if (it == pages_.end()) return nullptr;
+  memo_index_ = page_index;
+  memo_page_ = it->second.get();
+  return memo_page_;
 }
 
 }  // namespace papirepro::sim

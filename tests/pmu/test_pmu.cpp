@@ -257,5 +257,49 @@ TEST(Pmu, ClearOverflowStopsInterrupts) {
   EXPECT_EQ(fires, before);
 }
 
+TEST(Pmu, WantsItsDispatchedSignalsOnlyWhileRunning) {
+  const auto& p = sim_x86();
+  sim::Workload w = sim::make_saxpy(2000);
+  sim::Machine m(w.program, p.machine);
+  if (w.setup) w.setup(m);
+  PmuModel pmu(p, m);
+  EXPECT_EQ(pmu.wanted(), 0u);  // the machine calls a fresh model never
+
+  const NativeEventCode events[] = {code_of(p, "INST_RETIRED"),
+                                    code_of(p, "FP_OPS_RETIRED")};
+  const std::uint32_t counters[] = {0, 2};
+  ASSERT_TRUE(pmu.program(events, counters).ok());
+  EXPECT_EQ(pmu.wanted(), 0u);  // programmed, still stopped
+
+  sim::SimEventMask dispatched = 0;
+  for (NativeEventCode code : events) {
+    for (const SignalTerm& t : p.find_event(code)->terms) {
+      dispatched |= sim::sim_event_bit(t.signal);
+    }
+  }
+  ASSERT_TRUE(pmu.start().ok());
+  EXPECT_EQ(pmu.wanted(), dispatched);
+  m.run(1000);
+  ASSERT_TRUE(pmu.stop().ok());
+  EXPECT_EQ(pmu.wanted(), 0u);
+  EXPECT_EQ(pmu.read(0).value(), 1000u);
+
+  // Stopped: the machine skips the model and the counts stay put.
+  const std::uint64_t flops = pmu.read(2).value();
+  EXPECT_GT(flops, 0u);
+  m.run(1000);
+  EXPECT_EQ(pmu.read(0).value(), 1000u);
+  EXPECT_EQ(pmu.read(2).value(), flops);
+
+  // Restarted, it counts on from where it stopped; cleared, it wants
+  // nothing even though it was running.
+  ASSERT_TRUE(pmu.start().ok());
+  m.run(500);
+  EXPECT_EQ(pmu.read(0).value(), 1500u);
+  pmu.clear();
+  EXPECT_FALSE(pmu.running());
+  EXPECT_EQ(pmu.wanted(), 0u);
+}
+
 }  // namespace
 }  // namespace papirepro::pmu

@@ -69,6 +69,27 @@ TEST(Cache, PolluteInvalidatesLines) {
   EXPECT_GT(c.stats().misses, 0u);
 }
 
+TEST(Cache, PolluteStaysInsideACacheWithFewerSetsThanLines) {
+  // 16 sets, fewer than the 48 lines one sim-x86 counter read pollutes.
+  // The round-robin cursor used to step one past the last way here.
+  const CacheConfig config{.size_bytes = 4 * 1024, .line_bytes = 64,
+                           .associativity = 4, .miss_latency = 8};
+  Cache c(config);
+  for (int call = 0; call < 200; ++call) c.pollute(48);
+
+  // A whole-cache pollute still invalidates every line, wherever the
+  // cursor stands.
+  const std::uint32_t lines = config.size_bytes / config.line_bytes;
+  for (int round = 0; round < 2; ++round) {
+    for (std::uint64_t a = 0; a < config.size_bytes; a += 64) c.access(a);
+    c.reset_stats();
+    c.pollute(lines);
+    for (std::uint64_t a = 0; a < config.size_bytes; a += 64) c.access(a);
+    EXPECT_EQ(c.stats().misses, lines);
+    c.pollute(48);
+  }
+}
+
 TEST(Cache, MissRate) {
   Cache c(small_cache());
   c.access(0);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "sim/kernels.h"
 #include "sim/program.h"
 #include "test_util.h"
 
@@ -9,6 +12,29 @@ namespace papirepro::sim {
 namespace {
 
 using papirepro::test::SignalCounter;
+
+/// Counts on_event() calls per signal, for the signals it wants.
+class CallCounter final : public EventListener {
+ public:
+  CallCounter(Machine& machine, SimEventMask wanted)
+      : EventListener(wanted), machine_(machine) {
+    machine_.add_listener(this);
+  }
+  ~CallCounter() override { machine_.remove_listener(this); }
+
+  void on_event(SimEvent event, std::uint64_t,
+                const EventContext&) override {
+    ++calls_[static_cast<std::size_t>(event)];
+  }
+  void want(SimEventMask wanted) { set_wanted(wanted); }
+  const std::array<std::uint64_t, kNumSimEvents>& calls() const {
+    return calls_;
+  }
+
+ private:
+  Machine& machine_;
+  std::array<std::uint64_t, kNumSimEvents> calls_{};
+};
 
 Program arithmetic_program() {
   ProgramBuilder b;
@@ -29,6 +55,48 @@ Program arithmetic_program() {
   b.halt();
   b.end_function();
   return std::move(b).build();
+}
+
+TEST(Machine, ListenersReceiveExactlyTheSignalsTheyWant) {
+  Workload w = make_multiphase(2, 300);  // FP, memory and branch phases
+  Machine m(w.program, {});
+  if (w.setup) w.setup(m);
+  CallCounter all(m, kAllSimEvents);
+  const SimEventMask first_mask =
+      sim_event_bit(SimEvent::kInstructions) |
+      sim_event_bit(SimEvent::kL1DMiss) |
+      sim_event_bit(SimEvent::kBrMispred) |
+      sim_event_bit(SimEvent::kStallCycles);
+  CallCounter some(m, first_mask);
+  CallCounter none(m, 0);
+
+  m.run(4000);
+  m.charge_cycles(100, 4);  // an instrumentation charge raises kCycles
+  const auto at_switch = all.calls();
+  some.want(sim_event_bit(SimEvent::kCycles));
+  m.run();
+  ASSERT_TRUE(m.halted());
+
+  for (std::size_t e = 0; e < kNumSimEvents; ++e) {
+    const SimEventMask bit = sim_event_bit(static_cast<SimEvent>(e));
+    const std::uint64_t before = (first_mask & bit) ? at_switch[e] : 0;
+    const std::uint64_t after =
+        e == static_cast<std::size_t>(SimEvent::kCycles)
+            ? all.calls()[e] - at_switch[e]
+            : 0;
+    EXPECT_EQ(some.calls()[e], before + after)
+        << sim_event_name(static_cast<SimEvent>(e));
+    EXPECT_EQ(none.calls()[e], 0u);
+  }
+  // Every signal of the first mask fired before the switch, and cycles
+  // after it, so the counts above are not vacuous.
+  for (SimEvent e : {SimEvent::kInstructions, SimEvent::kL1DMiss,
+                     SimEvent::kBrMispred, SimEvent::kStallCycles}) {
+    EXPECT_GT(at_switch[static_cast<std::size_t>(e)], 0u)
+        << sim_event_name(e);
+  }
+  EXPECT_GT(all.calls()[static_cast<std::size_t>(SimEvent::kCycles)],
+            at_switch[static_cast<std::size_t>(SimEvent::kCycles)]);
 }
 
 TEST(Machine, ArithmeticSemantics) {

@@ -49,6 +49,38 @@ TEST(Memory, OverwriteSameWord) {
   EXPECT_EQ(m.pages_touched(), 1u);
 }
 
+TEST(Memory, UnwrittenPageReadsZeroAfterAWrittenOne) {
+  Memory m;
+  m.write_i64(0x1000, 11);
+  EXPECT_EQ(m.read_i64(0x1008), 0);  // the written page, another word
+  EXPECT_EQ(m.read_i64(0x5000), 0);  // a page never written
+  EXPECT_EQ(m.pages_touched(), 1u);
+  EXPECT_EQ(m.read_i64(0x1000), 11);
+  m.write_i64(0x5000, 5);
+  EXPECT_EQ(m.pages_touched(), 2u);
+  EXPECT_EQ(m.read_i64(0x5000), 5);
+  EXPECT_EQ(m.read_i64(0x6000), 0);
+  EXPECT_EQ(m.pages_touched(), 2u);
+}
+
+TEST(Memory, AlternatingPagesReadBackWhatWasWritten) {
+  Memory m;
+  const std::uint64_t a = 3 * kPageSize, b = 900 * kPageSize;
+  for (std::int64_t i = 0; i < 512; ++i) {
+    const std::uint64_t off = static_cast<std::uint64_t>(8 * i);
+    m.write_i64(a + off, i);
+    m.write_i64(b + off, -i);
+    EXPECT_EQ(m.read_i64(a + off), i);
+    EXPECT_EQ(m.read_i64(b + off), -i);
+  }
+  for (std::int64_t i = 0; i < 512; ++i) {
+    const std::uint64_t off = static_cast<std::uint64_t>(8 * i);
+    EXPECT_EQ(m.read_i64(b + off), -i);
+    EXPECT_EQ(m.read_i64(a + off), i);
+  }
+  EXPECT_EQ(m.pages_touched(), 2u);
+}
+
 TEST(Memory, PageOfMath) {
   EXPECT_EQ(Memory::page_of(0), 0u);
   EXPECT_EQ(Memory::page_of(kPageSize - 1), 0u);
