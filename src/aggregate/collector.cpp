@@ -29,8 +29,10 @@ Collector::Collector(const CollectorConfig& config,
   ranks_ = std::make_unique<RankSlot[]>(config_.max_ranks);
   rank_values_ = std::make_unique<long long[]>(
       static_cast<std::size_t>(config_.max_ranks) * config_.num_metrics);
-  max_nodes_ = (config_.max_ranks + config_.ranks_per_node - 1) /
-               config_.ranks_per_node;
+  // In size_t: a fan-in near 2^32 must not wrap the rounding add.
+  max_nodes_ =
+      (std::size_t{config_.max_ranks} + config_.ranks_per_node - 1) /
+      config_.ranks_per_node;
   nodes_ = std::make_unique<NodeStats[]>(max_nodes_);
   cluster_.num_metrics = config_.num_metrics;
 }
@@ -84,11 +86,9 @@ std::size_t Collector::ingest(std::span<const std::uint8_t> buf) noexcept {
         }
         RankSlot& slot = ranks_[static_cast<std::uint32_t>(rank)];
         slot.seen = true;
-        slot.flags = eh.flags;
         long long* dst = values_of(static_cast<std::uint32_t>(rank));
         for (std::uint32_t k = 0; k < stored; ++k) dst[k] = staging_[k];
         slot.num_values = stored;
-        slot.frame_cycles = fh.frame_cycles;
         slot.pub_cycles = eh.pub_cycles;
       }
       if (!bad && reader.end_frame() != WireError::kOk) bad = true;
@@ -117,7 +117,6 @@ std::size_t Collector::ingest(std::span<const std::uint8_t> buf) noexcept {
     std::uint32_t stored = 0;
     std::uint64_t dropped = 0;
     std::uint64_t newest_pub = 0;
-    std::uint8_t flags = 0;
     std::uint64_t entries_seen = 0;
     bool bad = false;
     for (std::uint32_t i = 0; i < fh.entry_count && !bad; ++i) {
@@ -126,7 +125,6 @@ std::size_t Collector::ingest(std::span<const std::uint8_t> buf) noexcept {
         bad = true;
         break;
       }
-      flags |= eh.flags;
       if (eh.pub_cycles > newest_pub) newest_pub = eh.pub_cycles;
       ++entries_seen;
       const std::uint32_t take =
@@ -147,13 +145,11 @@ std::size_t Collector::ingest(std::span<const std::uint8_t> buf) noexcept {
       continue;
     }
     slot.seen = true;
-    slot.flags = flags;
     long long* dst = values_of(fh.rank);
     for (std::uint32_t i = 0; i < stored; ++i) {
       dst[i] = staging_[i];
     }
     slot.num_values = stored;
-    slot.frame_cycles = fh.frame_cycles;
     slot.pub_cycles = newest_pub;
     ++accepted;
     ++stats_.frames;
@@ -177,91 +173,129 @@ std::size_t Collector::ingest(std::span<const std::uint8_t> buf) noexcept {
 
 const ClusterReduction& Collector::reduce(
     std::uint64_t now_cycles) noexcept {
+  // The config is read once: the stores below (slot fields, histogram
+  // buckets, partials) could alias its fields, so reading it through
+  // config_ inside the loops would reload it for every rank.
   const std::uint32_t m = config_.num_metrics;
+  const std::uint32_t max_ranks = config_.max_ranks;
+  const std::uint32_t per_node = config_.ranks_per_node;
+  const std::uint64_t max_age = config_.max_age_cycles;
+  const std::uint32_t stale_limit = config_.stale_reduce_rounds;
   for (std::uint32_t i = 0; i < m; ++i) histograms_[i].reset();
 
-  // Pass 1: per-rank -> per-node partials.  Every node slot is reset
-  // first (bounded work over preallocated storage) so a node that had
-  // live ranks last round but none this round reads as empty, never as
-  // last round's leftovers.
-  for (std::size_t n = 0; n < max_nodes_; ++n) {
-    nodes_[n].node = static_cast<std::uint32_t>(n);
-    nodes_[n].ranks = 0;
-    for (std::uint32_t i = 0; i < m; ++i) nodes_[n].metrics[i] = {};
+  // Node by node: each node's live ranks fold into local accumulators,
+  // whose min and max start at the type's extremes so the fold needs
+  // no first-value test, and the node's partial then folds into the
+  // cluster's.  Ranks are visited in rank order, so every sum adds in
+  // the same order as a rank-by-rank fold would.  Sums add in unsigned
+  // arithmetic and so wrap modulo 2^64: values come off the wire, and
+  // a frame carrying values near 2^63 must not make the fold undefined.
+  // Every node slot is rewritten, so a node that had live ranks last
+  // round but none this round reads as empty, never as last round's
+  // leftovers.
+  constexpr long long kLow = std::numeric_limits<long long>::min();
+  constexpr long long kHigh = std::numeric_limits<long long>::max();
+  long long cmin[kMaxMetrics], cmax[kMaxMetrics];
+  std::uint64_t csum[kMaxMetrics], ccount[kMaxMetrics];
+  for (std::uint32_t i = 0; i < m; ++i) {
+    cmin[i] = kHigh;
+    cmax[i] = kLow;
+    csum[i] = 0;
+    ccount[i] = 0;
   }
   num_nodes_used_ = 0;
   std::uint32_t live = 0;
   std::uint32_t stale = 0;
-  for (std::uint32_t r = 0; r < config_.max_ranks; ++r) {
-    RankSlot& slot = ranks_[r];
-    if (!slot.seen) continue;
-    // Liveness: stamp distance and stamp stagnation.
-    bool is_live = true;
-    if (config_.max_age_cycles != 0 && now_cycles > slot.pub_cycles &&
-        now_cycles - slot.pub_cycles > config_.max_age_cycles) {
-      is_live = false;
+  const long long* vals = rank_values_.get();
+  for (std::size_t n = 0; n < max_nodes_; ++n) {
+    const std::uint64_t first = static_cast<std::uint64_t>(n) * per_node;
+    const auto last = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(first + per_node, max_ranks));
+    long long lo[kMaxMetrics], hi[kMaxMetrics];
+    std::uint64_t sum[kMaxMetrics], count[kMaxMetrics];
+    for (std::uint32_t i = 0; i < m; ++i) {
+      lo[i] = kHigh;
+      hi[i] = kLow;
+      sum[i] = 0;
+      count[i] = 0;
     }
-    if (config_.stale_reduce_rounds != 0) {
-      if (slot.pub_cycles == slot.prev_pub_cycles) {
-        if (slot.stale_rounds < std::numeric_limits<std::uint32_t>::max()) {
-          ++slot.stale_rounds;
+    std::uint32_t node_ranks = 0;
+    for (auto r = static_cast<std::uint32_t>(first); r < last; ++r) {
+      RankSlot& slot = ranks_[r];
+      if (!slot.seen) continue;
+      // Liveness: stamp distance and stamp stagnation.
+      bool is_live = true;
+      if (max_age != 0 && now_cycles > slot.pub_cycles &&
+          now_cycles - slot.pub_cycles > max_age) {
+        is_live = false;
+      }
+      if (stale_limit != 0) {
+        if (slot.pub_cycles == slot.prev_pub_cycles) {
+          if (slot.stale_rounds <
+              std::numeric_limits<std::uint32_t>::max()) {
+            ++slot.stale_rounds;
+          }
+          if (slot.stale_rounds >= stale_limit) is_live = false;
+        } else {
+          slot.stale_rounds = 0;
         }
-        if (slot.stale_rounds >= config_.stale_reduce_rounds) {
-          is_live = false;
-        }
-      } else {
-        slot.stale_rounds = 0;
+      }
+      slot.prev_pub_cycles = slot.pub_cycles;
+      slot.live = is_live;
+      if (!is_live) {
+        ++stale;
+        continue;
+      }
+      ++node_ranks;
+      const std::uint32_t nv = std::min(slot.num_values, m);
+      const long long* v = vals + static_cast<std::size_t>(r) * m;
+      for (std::uint32_t i = 0; i < nv; ++i) {
+        const long long x = v[i];
+        lo[i] = std::min(lo[i], x);
+        hi[i] = std::max(hi[i], x);
+        sum[i] += static_cast<std::uint64_t>(x);
+        ++count[i];
+        histograms_[i].record(clamp_non_negative(x));
       }
     }
-    slot.prev_pub_cycles = slot.pub_cycles;
-    slot.live = is_live;
-    if (!is_live) {
-      ++stale;
-      continue;
-    }
-    ++live;
-    const std::size_t node_index = r / config_.ranks_per_node;
-    NodeStats& node = nodes_[node_index];
-    ++node.ranks;
-    const std::uint32_t nv = std::min(slot.num_values, m);
-    const long long* vals = values_of(r);
-    for (std::uint32_t i = 0; i < nv; ++i) {
-      const long long v = vals[i];
+    NodeStats& node = nodes_[n];
+    node.node = static_cast<std::uint32_t>(n);
+    node.ranks = node_ranks;
+    for (std::uint32_t i = 0; i < m; ++i) {
       MetricStats& ms = node.metrics[i];
-      if (ms.count == 0 || v < ms.min) ms.min = v;
-      if (ms.count == 0 || v > ms.max) ms.max = v;
-      ms.sum += v;
-      ++ms.count;
-      histograms_[i].record(clamp_non_negative(v));
+      if (count[i] == 0) {
+        ms = {};
+        continue;
+      }
+      const auto node_sum = static_cast<long long>(sum[i]);
+      ms = {.min = lo[i],
+            .max = hi[i],
+            .sum = node_sum,
+            .avg = static_cast<double>(node_sum) /
+                   static_cast<double>(count[i]),
+            .count = count[i]};
+      cmin[i] = std::min(cmin[i], lo[i]);
+      cmax[i] = std::max(cmax[i], hi[i]);
+      csum[i] += sum[i];
+      ccount[i] += count[i];
     }
-    if (node_index + 1 > num_nodes_used_) num_nodes_used_ = node_index + 1;
+    live += node_ranks;
+    if (node_ranks != 0) num_nodes_used_ = n + 1;
   }
 
-  // Pass 2: per-node -> cluster.
   cluster_.now_cycles = now_cycles;
   cluster_.ranks_live = live;
   cluster_.ranks_stale = stale;
   cluster_.num_metrics = m;
-  for (std::uint32_t i = 0; i < m; ++i) cluster_.metrics[i] = {};
-  for (std::size_t n = 0; n < num_nodes_used_; ++n) {
-    NodeStats& node = nodes_[n];
-    if (node.ranks == 0) continue;  // empty node: no live ranks landed
-    for (std::uint32_t i = 0; i < m; ++i) {
-      MetricStats& nm = node.metrics[i];
-      if (nm.count == 0) continue;
-      nm.avg = static_cast<double>(nm.sum) /
-               static_cast<double>(nm.count);
-      MetricStats& cm = cluster_.metrics[i];
-      if (cm.count == 0 || nm.min < cm.min) cm.min = nm.min;
-      if (cm.count == 0 || nm.max > cm.max) cm.max = nm.max;
-      cm.sum += nm.sum;
-      cm.count += nm.count;
-    }
-  }
   for (std::uint32_t i = 0; i < m; ++i) {
     MetricStats& cm = cluster_.metrics[i];
-    if (cm.count != 0) {
-      cm.avg = static_cast<double>(cm.sum) / static_cast<double>(cm.count);
+    cm = {};
+    if (ccount[i] != 0) {
+      cm.min = cmin[i];
+      cm.max = cmax[i];
+      cm.sum = static_cast<long long>(csum[i]);
+      cm.count = ccount[i];
+      cm.avg = static_cast<double>(cm.sum) / static_cast<double>(ccount[i]);
     }
     cm.p50 = histograms_[i].quantile(0.50);
     cm.p95 = histograms_[i].quantile(0.95);

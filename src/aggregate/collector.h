@@ -59,7 +59,7 @@ struct CollectorConfig {
 struct MetricStats {
   long long min = 0;
   long long max = 0;
-  long long sum = 0;
+  long long sum = 0;  ///< wraps modulo 2^64 rather than overflowing
   double avg = 0.0;
   std::uint64_t count = 0;  ///< ranks contributing
   // Percentiles are cluster-level only (nodes carry min/max/sum/avg).
@@ -154,10 +154,8 @@ class Collector {
   struct RankSlot {
     bool seen = false;
     bool live = false;           ///< included in the last reduce()
-    std::uint8_t flags = 0;      ///< OR-fold of the last frame's flags
     std::uint32_t stale_rounds = 0;
     std::uint32_t num_values = 0;
-    std::uint64_t frame_cycles = 0;
     std::uint64_t pub_cycles = 0;       ///< newest entry stamp
     std::uint64_t prev_pub_cycles = 0;  ///< stamp at the prior reduce
   };

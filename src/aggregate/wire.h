@@ -150,7 +150,7 @@ class WireReader {
       : begin_(buf.data()),
         end_(buf.data() + buf.size()),
         p_(buf.data()),
-        fend_(buf.data()) {}
+        fend_(nullptr) {}
 
   /// Parses the next frame's prefix + header.  kNeedMore at a clean
   /// end of buffer; kTruncated/kBadMagic/kBadVersion/kOversized/
@@ -170,9 +170,11 @@ class WireReader {
   WireError end_frame() noexcept;
 
   /// Jumps to the byte after the current frame's declared end, if that
-  /// length was successfully read and lies within the buffer.  Returns
-  /// false when resynchronization is impossible (the rest of the
-  /// buffer must be abandoned).
+  /// length was successfully read and lies within the buffer — also
+  /// when the error left the cursor on that end already, so the cursor
+  /// always lands past the frame's first byte.  Returns false when
+  /// resynchronization is impossible (the rest of the buffer must be
+  /// abandoned) and after a frame end_frame() closed cleanly.
   bool skip_frame() noexcept;
 
   std::size_t offset() const noexcept {
@@ -191,7 +193,9 @@ class WireReader {
   const std::uint8_t* begin_;
   const std::uint8_t* end_;
   const std::uint8_t* p_;     ///< cursor
-  const std::uint8_t* fend_;  ///< one past the current frame
+  /// One past the current frame; null while no frame whose declared
+  /// length begin_frame() validated is open.
+  const std::uint8_t* fend_;
   const std::uint8_t* eend_ = nullptr;  ///< one past the current entry
   std::uint64_t frame_cycles_ = 0;  ///< base for entry pub_delta fields
   bool in_frame_ = false;
@@ -208,48 +212,70 @@ inline WireError WireReader::get_varint(
   if (p_ >= limit) return WireError::kTruncated;
   // Fast paths for the ingest hot loop: the one-byte case (small
   // counts, handles, flags-adjacent fields) costs a single bounds
-  // check, and when a full maximal varint fits before the frame end
-  // the decode loop drops the per-byte bounds check entirely.  All
-  // paths enforce the same overlong rule as the guarded loop below.
+  // check.
   if ((*p_ & 0x80u) == 0) {
     out = *p_++;
     return WireError::kOk;
   }
-  if (limit - p_ >= 10) {
-    const std::uint8_t* q = p_;
-    if constexpr (std::endian::native == std::endian::little) {
-      // Word path: one 8-byte load finds the terminator (first byte
-      // with a clear continuation bit) via countr_zero, then gathers
-      // the 7-bit groups.  Counter-magnitude varints are 2-5 bytes,
-      // so this covers the hot ingest path; 9- and 10-byte encodings
-      // fall through to the guarded loop.
-      std::uint64_t word = 0;
-      std::memcpy(&word, q, 8);
-      const std::uint64_t stops = ~word & 0x8080808080808080ull;
-      if (stops != 0) {
-        const int n = (std::countr_zero(stops) >> 3) + 1;  // bytes, 1..8
-        std::uint64_t v = 0;
-        for (int i = 0; i < n; ++i) {
-          v |= ((word >> (8 * i)) & 0x7Fu) << (7 * i);
+  if constexpr (std::endian::native == std::endian::little) {
+    // Word path: whenever 8 bytes remain in the buffer, one load holds
+    // every 2- to 5-byte varint (counter magnitudes), even when its
+    // field limit is nearer: the load may read past the entry or the
+    // frame, but never past the buffer, and a decoded length is kept
+    // only when it fits the limit.  Each case tests one continuation
+    // bit and moves the cursor by a constant, so the decode is a few
+    // masks and shifts with no data-dependent loop.  Longer varints, a
+    // varint that runs past its limit and the buffer's last 7 bytes
+    // take the byte loops below, which give every error and leave the
+    // cursor where a byte-at-a-time decode stops.
+    if (end_ - p_ >= 8) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, p_, 8);
+      const std::ptrdiff_t room = limit - p_;
+      if ((w & 0x8000u) == 0) {
+        if (room >= 2) {
+          out = (w & 0x7Fu) | (w >> 1 & 0x3F80u);
+          p_ += 2;
+          return WireError::kOk;
         }
-        p_ += n;
-        out = v;
-        return WireError::kOk;
+      } else if ((w & 0x800000u) == 0) {
+        if (room >= 3) {
+          out = (w & 0x7Fu) | (w >> 1 & 0x3F80u) | (w >> 2 & 0x1FC000u);
+          p_ += 3;
+          return WireError::kOk;
+        }
+      } else if ((w & 0x80000000u) == 0) {
+        if (room >= 4) {
+          out = (w & 0x7Fu) | (w >> 1 & 0x3F80u) | (w >> 2 & 0x1FC000u) |
+                (w >> 3 & 0xFE00000u);
+          p_ += 4;
+          return WireError::kOk;
+        }
+      } else if ((w & 0x8000000000ull) == 0) {
+        if (room >= 5) {
+          out = (w & 0x7Fu) | (w >> 1 & 0x3F80u) | (w >> 2 & 0x1FC000u) |
+                (w >> 3 & 0xFE00000u) | (w >> 4 & 0x7F0000000ull);
+          p_ += 5;
+          return WireError::kOk;
+        }
       }
     }
+  }
+  if (limit - p_ >= 10) {
+    // A maximal varint fits before the limit: no per-byte bounds check.
+    const std::uint8_t* const q = p_;
     std::uint64_t v = 0;
-    int shift = 0;
     for (int i = 0; i < 10; ++i) {
       const std::uint8_t b = q[i];
-      if (i == 9 && (b & ~0x01u) != 0) return WireError::kMalformed;
-      v |= static_cast<std::uint64_t>(b & 0x7Fu) << shift;
+      if (i == 9 && (b & ~0x01u) != 0) break;
+      v |= static_cast<std::uint64_t>(b & 0x7Fu) << (7 * i);
       if ((b & 0x80u) == 0) {
-        p_ += i + 1;
+        p_ = q + i + 1;
         out = v;
         return WireError::kOk;
       }
-      shift += 7;
     }
+    p_ = q + 10;  // where the guarded loop below stops on the same bytes
     return WireError::kMalformed;
   }
   std::uint64_t v = 0;
@@ -270,6 +296,7 @@ inline WireError WireReader::get_varint(
 
 inline WireError WireReader::begin_frame(FrameHeader& out) noexcept {
   in_frame_ = false;
+  fend_ = nullptr;
   if (p_ >= end_) return WireError::kNeedMore;
   if (end_ - p_ < 4) return WireError::kTruncated;
   const std::uint8_t* base = p_;
@@ -408,15 +435,21 @@ inline WireError WireReader::end_frame() noexcept {
     p_ = fend_;  // stay frame-aligned for the next begin_frame
     return WireError::kMalformed;
   }
+  fend_ = nullptr;  // closed cleanly: nothing left to skip
   return WireError::kOk;
 }
 
 inline bool WireReader::skip_frame() noexcept {
-  // Resync is only possible when the current frame's declared end was
-  // read, validated, and lies ahead of the cursor.
-  if (fend_ <= p_ || fend_ > end_) return false;
+  // Resync is possible exactly when begin_frame validated the current
+  // frame's declared length.  Every read inside the frame is bounded by
+  // that end, so the cursor never passed it; it may already sit on it
+  // (a field that ran to the frame end, trailing bytes end_frame
+  // rejected), and the frame is skipped all the same.
+  if (fend_ == nullptr) return false;
   p_ = fend_;
+  fend_ = nullptr;
   in_frame_ = false;
+  in_entry_ = false;
   return true;
 }
 

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "aggregate/collector.h"
@@ -344,6 +346,289 @@ TEST(AggregationCollector, RankRunMalformedTailKeepsCleanPrefix) {
   EXPECT_EQ(red.ranks_live, 2u);  // ranks 0 and 1 committed before the tail
   EXPECT_EQ(red.metrics[0].min, 100);
   EXPECT_EQ(red.metrics[0].max, 110);
+}
+
+/// Encodes frames A | B | C of two ranks each in `mode` (single-rank
+/// mode: one rank per frame, two values) and returns B's byte range.
+std::pair<std::size_t, std::size_t> encode_three_frames(
+    std::uint8_t mode, std::vector<std::uint8_t>& out) {
+  std::pair<std::size_t, std::size_t> b;
+  for (std::uint32_t f = 0; f < 3; ++f) {
+    papi::SnapshotEntry e[2];
+    const long long base = 100 * (static_cast<long long>(f) + 1);
+    const long long values[4] = {base, base + 1, base + 2, base + 3};
+    const std::uint32_t entries = mode == kFrameModeRankRun ? 2 : 1;
+    for (std::uint32_t i = 0; i < 2; ++i) {
+      e[i].handle = static_cast<int>(i) + 1;
+      e[i].flags = papi::read_flag::kPublished;
+      e[i].pub_cycles = 50;
+      e[i].first_value = 2 * i;
+      e[i].num_values = 2;
+    }
+    const std::uint32_t rank = mode == kFrameModeRankRun ? 2 * f : f;
+    if (f == 1) b.first = out.size();
+    EXPECT_TRUE(encode_frame(rank, 50, {e, entries}, values, out, mode));
+    if (f == 1) b.second = out.size();
+  }
+  return b;
+}
+
+/// Ingests `buf` whose middle frame was damaged at its declared end and
+/// checks that frames A and C both land.
+void expect_only_the_middle_frame_lost(std::uint8_t mode,
+                                       const std::vector<std::uint8_t>& buf) {
+  CollectorConfig cfg;
+  cfg.max_ranks = 8;
+  cfg.ranks_per_node = 2;
+  cfg.num_metrics = 2;
+  Collector collector(cfg);
+  EXPECT_EQ(collector.ingest(buf), 2u) << "mode " << int{mode};
+  EXPECT_EQ(collector.stats().frames, 2u);
+  EXPECT_EQ(collector.stats().decode_errors, 1u);
+  collector.reduce(100);
+  // C's values are the largest: its ranks lead the ranking.
+  RankValue top[1];
+  ASSERT_EQ(collector.top_ranks(1, top), 1u);
+  EXPECT_EQ(top[0].rank, mode == kFrameModeRankRun ? 5u : 2u);
+  EXPECT_EQ(top[0].value, mode == kFrameModeRankRun ? 303 : 301);
+}
+
+void set_frame_len(std::vector<std::uint8_t>& buf, std::size_t at,
+                   std::uint32_t len) {
+  for (int i = 0; i < 4; ++i) {
+    buf[at + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+}
+
+TEST(AggregationCollector, TrailingFrameBytesSkipOnlyThatFrame) {
+  // B carries one byte past its last entry inside its declared length.
+  // end_frame() rejects it with the cursor already on B's end; the
+  // reader must still skip to C instead of abandoning the buffer.
+  for (const std::uint8_t mode : {kFrameModeSingleRank, kFrameModeRankRun}) {
+    std::vector<std::uint8_t> buf;
+    const auto [b, b_end] = encode_three_frames(mode, buf);
+    buf.insert(buf.begin() + static_cast<std::ptrdiff_t>(b_end), 0x00);
+    set_frame_len(buf, b, static_cast<std::uint32_t>(b_end - b + 1));
+    expect_only_the_middle_frame_lost(mode, buf);
+  }
+}
+
+TEST(AggregationCollector, TruncatedLastValueSkipsOnlyThatFrame) {
+  // B's last value keeps its continuation bit, so the varint runs into
+  // the frame end and the cursor stops on it.
+  for (const std::uint8_t mode : {kFrameModeSingleRank, kFrameModeRankRun}) {
+    std::vector<std::uint8_t> buf;
+    const auto [b, b_end] = encode_three_frames(mode, buf);
+    (void)b;
+    buf[b_end - 1] |= 0x80;
+    expect_only_the_middle_frame_lost(mode, buf);
+  }
+}
+
+/// One rank's input to the node oracle test.
+struct OracleRank {
+  bool sent = false;
+  std::uint64_t pub_cycles = 0;
+  std::vector<long long> values;
+};
+
+/// Checks every node partial and the cluster view of `red` against a
+/// sequential fold over `ranks` at `now`.
+void expect_reduction_matches(const Collector& collector,
+                              const ClusterReduction& red,
+                              const std::vector<OracleRank>& ranks,
+                              std::uint64_t now) {
+  const CollectorConfig& cfg = collector.config();
+  const std::uint32_t m = cfg.num_metrics;
+  const std::size_t max_nodes =
+      (cfg.max_ranks + cfg.ranks_per_node - 1) / cfg.ranks_per_node;
+  std::vector<NodeStats> want(max_nodes);
+  ClusterReduction cluster;
+  FixedHistogram hist[kMaxMetrics];
+  std::size_t used = 0;
+  for (std::uint32_t r = 0; r < cfg.max_ranks; ++r) {
+    const OracleRank& in = ranks[r];
+    if (!in.sent) continue;
+    if (now > in.pub_cycles && now - in.pub_cycles > cfg.max_age_cycles) {
+      ++cluster.ranks_stale;
+      continue;
+    }
+    ++cluster.ranks_live;
+    const std::size_t n = r / cfg.ranks_per_node;
+    ++want[n].ranks;
+    used = n + 1;
+    for (std::uint32_t i = 0; i < m && i < in.values.size(); ++i) {
+      const long long v = in.values[i];
+      for (MetricStats* ms : {&want[n].metrics[i], &cluster.metrics[i]}) {
+        if (ms->count == 0 || v < ms->min) ms->min = v;
+        if (ms->count == 0 || v > ms->max) ms->max = v;
+        ms->sum = static_cast<long long>(static_cast<std::uint64_t>(ms->sum) +
+                                         static_cast<std::uint64_t>(v));
+        ++ms->count;
+      }
+      hist[i].record(v > 0 ? static_cast<std::uint64_t>(v) : 0);
+    }
+  }
+  ASSERT_EQ(collector.nodes().size(), used) << "now " << now;
+  for (std::size_t n = 0; n < used; ++n) {
+    const NodeStats& got = collector.nodes()[n];
+    EXPECT_EQ(got.node, n);
+    EXPECT_EQ(got.ranks, want[n].ranks) << "node " << n;
+    for (std::uint32_t i = 0; i < m; ++i) {
+      const MetricStats& w = want[n].metrics[i];
+      const MetricStats& g = got.metrics[i];
+      const double avg = w.count == 0 ? 0.0
+                                      : static_cast<double>(w.sum) /
+                                            static_cast<double>(w.count);
+      EXPECT_EQ(g.min, w.min) << "node " << n << " metric " << i;
+      EXPECT_EQ(g.max, w.max) << "node " << n << " metric " << i;
+      EXPECT_EQ(g.sum, w.sum) << "node " << n << " metric " << i;
+      EXPECT_EQ(g.count, w.count) << "node " << n << " metric " << i;
+      EXPECT_EQ(g.avg, avg) << "node " << n << " metric " << i;
+    }
+  }
+  EXPECT_EQ(red.now_cycles, now);
+  EXPECT_EQ(red.ranks_live, cluster.ranks_live);
+  EXPECT_EQ(red.ranks_stale, cluster.ranks_stale);
+  ASSERT_EQ(red.num_metrics, m);
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const MetricStats& w = cluster.metrics[i];
+    const MetricStats& g = red.metrics[i];
+    const double avg = w.count == 0 ? 0.0
+                                    : static_cast<double>(w.sum) /
+                                          static_cast<double>(w.count);
+    EXPECT_EQ(g.min, w.min) << "metric " << i;
+    EXPECT_EQ(g.max, w.max) << "metric " << i;
+    EXPECT_EQ(g.sum, w.sum) << "metric " << i;
+    EXPECT_EQ(g.count, w.count) << "metric " << i;
+    EXPECT_EQ(g.avg, avg) << "metric " << i;
+    EXPECT_EQ(g.p50, hist[i].quantile(0.50)) << "metric " << i;
+    EXPECT_EQ(g.p95, hist[i].quantile(0.95)) << "metric " << i;
+    EXPECT_EQ(g.p99, hist[i].quantile(0.99)) << "metric " << i;
+  }
+}
+
+TEST(AggregationCollector, NodePartialsMatchSequentialOracle) {
+  // 45 ranks at 8 per node: six nodes, the last holding 5 ranks.  Node 2
+  // sends nothing and node 4's ranks all publish too early, so live
+  // nodes sit on both sides of empty ones; ranks carry 0 to 6 values
+  // (fewer and more than the 4 metrics) of either sign, and about one
+  // in five lags the clock by more than max_age_cycles.
+  CollectorConfig cfg;
+  cfg.max_ranks = 45;
+  cfg.ranks_per_node = 8;
+  cfg.num_metrics = 4;
+  cfg.max_age_cycles = 1'000;
+  Collector collector(cfg);
+
+  constexpr std::uint64_t kNow = 1'000'000;
+  Xoshiro256 rng(24);
+  std::vector<OracleRank> ranks(cfg.max_ranks);
+  std::vector<std::uint8_t> buf;
+  for (std::uint32_t node = 0; node < 6; ++node) {
+    if (node == 2) continue;
+    const std::uint32_t first = node * cfg.ranks_per_node;
+    const std::uint32_t last =
+        std::min(first + cfg.ranks_per_node, cfg.max_ranks);
+    std::vector<papi::SnapshotEntry> entries;
+    std::vector<long long> values;
+    for (std::uint32_t r = first; r < last; ++r) {
+      OracleRank& in = ranks[r];
+      in.sent = true;
+      // Each node's first rank stays live until kNow + 900, except on
+      // node 5, whose live ranks all age out by kNow + 200.
+      const bool lead = r == first;
+      if (node == 4 || (!lead && rng.next_below(5) == 0)) {
+        in.pub_cycles = kNow - 1'001 - rng.next_below(5'000);
+      } else if (node == 5) {
+        in.pub_cycles = kNow - 900 - rng.next_below(101);
+      } else {
+        in.pub_cycles = kNow - rng.next_below(lead ? 100 : 1'001);
+      }
+      const auto nv = static_cast<std::uint32_t>(rng.next_below(7));
+      papi::SnapshotEntry e;
+      e.handle = static_cast<int>(r);
+      e.pub_cycles = in.pub_cycles;
+      e.first_value = static_cast<std::uint32_t>(values.size());
+      e.num_values = nv;
+      for (std::uint32_t i = 0; i < nv; ++i) {
+        const auto magnitude =
+            static_cast<long long>(rng.next() >> (rng.next_below(60) + 4));
+        const long long v = rng.next_below(3) == 0 ? -magnitude : magnitude;
+        values.push_back(v);
+        in.values.push_back(v);
+      }
+      entries.push_back(e);
+    }
+    ASSERT_TRUE(encode_frame(first, kNow - 500, entries, values, buf,
+                             kFrameModeRankRun));
+  }
+  ASSERT_EQ(collector.ingest(buf), 5u);
+  // Each later clock ages more ranks out, until none is live; node 5
+  // ages out before the nodes ahead of it, so nodes() shrinks.
+  std::vector<std::size_t> used;
+  for (const std::uint64_t now : {kNow, kNow + 200, kNow + 600, kNow + 5'000,
+                                  kNow + 10'000}) {
+    SCOPED_TRACE(now);
+    const ClusterReduction& red = collector.reduce(now);
+    expect_reduction_matches(collector, red, ranks, now);
+    used.push_back(collector.nodes().size());
+  }
+  EXPECT_EQ(used, (std::vector<std::size_t>{6, 4, 4, 0, 0}));
+}
+
+TEST(AggregationCollector, SumsWrapInsteadOfOverflowing) {
+  // Values come off the wire, so a frame may carry any 64-bit value:
+  // sums past the range of long long wrap modulo 2^64 (the UBSan tree
+  // fails on a signed overflow), while min, max and count stay exact.
+  CollectorConfig cfg;
+  cfg.max_ranks = 4;
+  cfg.ranks_per_node = 2;
+  cfg.num_metrics = 1;
+  Collector collector(cfg);
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  constexpr long long kMin = std::numeric_limits<long long>::min();
+  const long long values[4] = {kMax, 2, kMin, -3};
+  std::vector<std::uint8_t> buf;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    encode_rank(r, 10, {&values[r], 1}, buf);
+  }
+  ASSERT_EQ(collector.ingest(buf), 4u);
+  const ClusterReduction& red = collector.reduce(20);
+  ASSERT_EQ(collector.nodes().size(), 2u);
+  const MetricStats& up = collector.nodes()[0].metrics[0];
+  EXPECT_EQ(up.sum, kMin + 1);  // kMax + 2 wraps
+  EXPECT_EQ(up.min, 2);
+  EXPECT_EQ(up.max, kMax);
+  const MetricStats& down = collector.nodes()[1].metrics[0];
+  EXPECT_EQ(down.sum, kMax - 2);  // kMin - 3 wraps
+  EXPECT_EQ(down.min, kMin);
+  EXPECT_EQ(down.max, -3);
+  EXPECT_EQ(red.metrics[0].sum, -2);  // the wraps cancel
+  EXPECT_EQ(red.metrics[0].min, kMin);
+  EXPECT_EQ(red.metrics[0].max, kMax);
+  EXPECT_EQ(red.metrics[0].count, 4u);
+}
+
+TEST(AggregationCollector, FanInNearTwoToTheThirtyTwoMakesOneNode) {
+  // The node count rounds max_ranks up to whole nodes; with a fan-in
+  // near 2^32 that add must not wrap to zero nodes.
+  CollectorConfig cfg;
+  cfg.max_ranks = 10;
+  cfg.ranks_per_node = 0xFFFFFFFFu;
+  cfg.num_metrics = 1;
+  Collector collector(cfg);
+  std::vector<std::uint8_t> buf;
+  for (std::uint32_t r = 0; r < 10; ++r) {
+    const long long values[1] = {static_cast<long long>(r)};
+    encode_rank(r, 10, values, buf);
+  }
+  ASSERT_EQ(collector.ingest(buf), 10u);
+  const ClusterReduction& red = collector.reduce(20);
+  EXPECT_EQ(red.ranks_live, 10u);
+  ASSERT_EQ(collector.nodes().size(), 1u);
+  EXPECT_EQ(collector.nodes()[0].ranks, 10u);
+  EXPECT_EQ(collector.nodes()[0].metrics[0].sum, 45);
 }
 
 TEST(AggregationHistogram, ExactBelowEightBoundedAbove) {

@@ -5,9 +5,12 @@
 // magic/version, oversized or impossible declared lengths, overlong
 // varints — must surface a clean WireError without the reader ever
 // touching a byte outside the buffer (the CI ASan shard enforces the
-// no-OOB half of that claim).
+// no-OOB half of that claim).  Varint decoding is also checked against
+// the byte-at-a-time reference in wire_reference.h at every length and
+// every placement against its limit and the buffer end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "aggregate/wire.h"
+#include "aggregate/wire_reference.h"
 #include "common/rng.h"
 #include "core/eventset.h"
 #include "test_util.h"
@@ -167,6 +171,94 @@ std::vector<std::uint8_t> small_valid_frame() {
   std::vector<std::uint8_t> buf;
   EXPECT_TRUE(encode_frame(9, 777, {&e, 1}, values, buf));
   return buf;
+}
+
+/// LEB128 bytes of `v`.
+std::vector<std::uint8_t> leb128(std::uint64_t v) {
+  std::vector<std::uint8_t> out;
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+  return out;
+}
+
+TEST(AggregationWire, VarintDecodeMatchesByteReference) {
+  // Varints of every length from 1 to 10 (the smallest and largest
+  // value of each), a 10-byte zero, and two overlong 10th bytes: a
+  // 65th value bit and a continuation.
+  std::vector<std::vector<std::uint8_t>> varints;
+  for (int len = 1; len <= 10; ++len) {
+    const std::uint64_t lo = len == 1 ? 0 : 1ull << (7 * (len - 1));
+    const std::uint64_t hi = len == 10 ? ~0ull : (1ull << (7 * len)) - 1;
+    varints.push_back(leb128(lo));
+    varints.push_back(leb128(hi));
+    ASSERT_EQ(varints.back().size(), static_cast<std::size_t>(len));
+  }
+  std::vector<std::uint8_t> ten(9, 0x80);
+  ten.push_back(0x00);
+  varints.push_back(ten);
+  ten.assign(9, 0xFF);
+  ten.push_back(0x02);
+  varints.push_back(ten);
+  ten.back() = 0x80;
+  varints.push_back(ten);
+
+  // Each varint is an entry's one value.  The entry ends `gap` bytes
+  // after the varint (inside it when negative, with the varint's other
+  // bytes still in the frame), the frame ends with the entry or the
+  // varint, whichever is later, and `slack` bytes follow the frame in
+  // the buffer.  Filler bytes are all terminators or all continuations,
+  // so a decoder that ignored its limit would decode a different value
+  // or length.  Value, error and cursor must match the reference.
+  constexpr std::size_t kValueAt = 19;  // 13 header + 6 entry bytes
+  std::size_t cases = 0;
+  for (const std::uint8_t fill : {std::uint8_t{0x00}, std::uint8_t{0xFF}}) {
+    for (const std::vector<std::uint8_t>& v : varints) {
+      const int len = static_cast<int>(v.size());
+      for (int gap = 1 - len; gap <= 10; ++gap) {
+        for (int slack = 0; slack <= 10; ++slack) {
+          std::vector<std::uint8_t> buf = {
+              0, 0, 0, 0,              // frame_len, patched below
+              0x50, 0x53, 0x43, 0x46,  // magic
+              kWireVersion, kFrameModeSingleRank,
+              0, 0, 1,                 // rank, frame_cycles, entry_count
+              static_cast<std::uint8_t>(5 + len + gap),  // entry_len
+              0, 0, 0, 0, 1};  // handle, status, flags, pub_delta, count
+          ASSERT_EQ(buf.size(), kValueAt);
+          buf.insert(buf.end(), v.begin(), v.end());
+          buf.insert(buf.end(), static_cast<std::size_t>(std::max(gap, 0)),
+                     fill);
+          buf[0] = static_cast<std::uint8_t>(buf.size());
+          buf.insert(buf.end(), static_cast<std::size_t>(slack), fill);
+          const std::size_t limit = kValueAt + len + gap;
+          const reference::Varint want =
+              reference::varint(buf, kValueAt, limit);
+
+          WireReader reader(buf);
+          FrameHeader fh;
+          ASSERT_EQ(reader.begin_frame(fh), WireError::kOk);
+          EntryHeader eh;
+          ASSERT_EQ(reader.read_entry(eh), WireError::kOk);
+          ASSERT_EQ(reader.offset(), kValueAt);
+          long long got = 0;
+          const WireError e = reader.read_values(&got, 1);
+          ASSERT_EQ(e, want.error) << "length " << len << " gap " << gap
+                                   << " slack " << slack << " fill "
+                                   << int{fill};
+          ASSERT_EQ(reader.offset(), want.end)
+              << "length " << len << " gap " << gap << " slack " << slack;
+          if (e == WireError::kOk) {
+            ASSERT_EQ(got, reference::unzigzag(want.value))
+                << "length " << len << " gap " << gap << " slack " << slack;
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 6000u);
 }
 
 TEST(AggregationWire, TruncationAtEveryByteFailsCleanly) {
